@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-sim analyze-smoke fuzz-smoke golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-diff check bench bench-all bench-campaign
+.PHONY: all build test race vet fmt vet-sim analyze-smoke fuzz-smoke golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-diff check bench bench-all bench-campaign
 
 all: check
 
@@ -20,6 +20,11 @@ test: build
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every committed Go file must be gofmt-clean.
+fmt:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Determinism linter: rejects map iteration, wall-clock reads, math/rand,
 # and stray goroutines in the simulation packages (see cmd/salam-vet).
@@ -111,10 +116,14 @@ ll-smoke:
 	$(GO) test -run 'TestLLFixtures' -count=1 .
 	$(GO) test -run 'TestParse' -count=1 ./ir
 
-# One engine iteration end to end, so `check` notices a broken benchmark
-# harness without paying for a full timed run.
+# One engine iteration end to end, plus one iteration of each layer
+# microbenchmark (the engine cycle loop on a fixed GEMM CDFG, the event
+# queue under the engine's event mix), so `check` notices a broken
+# benchmark harness without paying for a full timed run.
 bench-smoke:
 	$(GO) test -bench=BenchmarkEngineGEMM -benchtime=1x -run '^$$' .
+	$(GO) test -bench=BenchmarkAcceleratorCycle -benchtime=1x -run '^$$' ./internal/core
+	$(GO) test -bench=BenchmarkEventQueueMix -benchtime=1x -run '^$$' ./internal/sim
 
 # Compare the last two recorded points in BENCH_engine.json: fails when an
 # Engine* benchmark regressed more than 10% in ns/op (other benchmarks are
@@ -124,7 +133,7 @@ bench-diff:
 
 # bench-diff is advisory in check (leading `-`): the committed points span
 # different machines, so a cross-host delta must not fail the tier-1 gate.
-check: build vet vet-sim test race golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke analyze-smoke fuzz-smoke
+check: build vet fmt vet-sim test race golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke analyze-smoke fuzz-smoke
 	-$(MAKE) bench-diff
 
 # Timed engine benchmarks (EngineGEMM/EngineBFS/DSECampaign/CampaignWarm),

@@ -4,9 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gosalam/ir"
 	"gosalam/internal/core"
 	"gosalam/internal/hw"
+	"gosalam/ir"
 )
 
 // Totals are the minExec-weighted dynamic-work floors of one CDFG — the
@@ -56,10 +56,10 @@ type LoopReport struct {
 // Report is the full static analysis of one elaborated CDFG. It is
 // immutable once built and safe to share across goroutines.
 type Report struct {
-	Function  string       `json:"function"`
-	Blocks    int          `json:"blocks"`
-	Reachable int          `json:"reachable"`
-	StaticOps int          `json:"static_ops"`
+	Function  string `json:"function"`
+	Blocks    int    `json:"blocks"`
+	Reachable int    `json:"reachable"`
+	StaticOps int    `json:"static_ops"`
 	// Unreachable lists blocks no entry path reaches; DeadOps lists ops
 	// whose results are never consumed (a DCE pass or HLS tool would
 	// strip them; the engine still spends issue slots on them).
@@ -99,9 +99,9 @@ type Report struct {
 func Analyze(g *core.CDFG) *Report {
 	c := buildCFG(g.F)
 	r := &Report{
-		Function:   g.F.Name(),
-		Blocks:     len(g.F.Blocks),
-		StaticOps:  g.NumOps,
+		Function:      g.F.Name(),
+		Blocks:        len(g.F.Blocks),
+		StaticOps:     g.NumOps,
 		classBusy:     make([]uint64, hw.NumFUClasses()),
 		classOps:      make([]int, hw.NumFUClasses()),
 		classExact:    make([]bool, hw.NumFUClasses()),

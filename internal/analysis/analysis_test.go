@@ -3,9 +3,9 @@ package analysis
 import (
 	"testing"
 
-	"gosalam/ir"
 	"gosalam/internal/core"
 	"gosalam/internal/hw"
+	"gosalam/ir"
 )
 
 func elab(t *testing.T, f *ir.Function) *core.CDFG {

@@ -51,11 +51,11 @@ type ClassBound struct {
 // Bound is the resource-constrained cycle-count lower bound for one CDFG
 // under one accelerator configuration.
 type Bound struct {
-	Cycles     uint64      `json:"cycles"`
-	Binding    string      `json:"binding"`
-	Components []Component `json:"components"`
-	ReadPorts  int         `json:"read_ports"`
-	WritePorts int         `json:"write_ports"`
+	Cycles     uint64       `json:"cycles"`
+	Binding    string       `json:"binding"`
+	Components []Component  `json:"components"`
+	ReadPorts  int          `json:"read_ports"`
+	WritePorts int          `json:"write_ports"`
 	Classes    []ClassBound `json:"classes,omitempty"`
 }
 

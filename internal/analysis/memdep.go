@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"gosalam/ir"
 	"gosalam/internal/core"
+	"gosalam/ir"
 )
 
 // The memory layer reduces every scratchpad access to an affine form

@@ -1,9 +1,9 @@
 package analysis
 
 import (
-	"gosalam/ir"
 	"gosalam/internal/core"
 	"gosalam/internal/hw"
+	"gosalam/ir"
 )
 
 // OpSched is one op's position in its block's dependence-only schedule.
@@ -30,8 +30,8 @@ type BlockSched struct {
 	CritPathCycles uint64 `json:"crit_path_cycles"`
 	// MinExec is the provable per-invocation execution floor; Exact marks
 	// counts derived entirely from counted loops and dominance.
-	MinExec uint64 `json:"min_exec"`
-	Exact   bool   `json:"exact"`
+	MinExec uint64    `json:"min_exec"`
+	Exact   bool      `json:"exact"`
 	Ops     []OpSched `json:"ops,omitempty"`
 	// Critical lists the slack-zero op names in program order.
 	Critical []string `json:"critical,omitempty"`

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"gosalam/internal/hw"
 	"gosalam/internal/sim"
@@ -99,7 +100,8 @@ type dynOp struct {
 	val   uint64
 
 	// qi is the op's current index in resQ, kept up to date through
-	// compaction so commit-time wakes can lower the ready watermark.
+	// compaction so wakes and arrivals can mark the op's bit in the ready
+	// and arrived sets.
 	qi int32
 
 	// Memory fields.
@@ -133,6 +135,58 @@ type defRec struct {
 	live     bool
 }
 
+// bitset is a set of reservation-queue positions. The engine keeps one for
+// issuable entries and one for arrived in-flight entries, so the commit and
+// issue phases visit exactly the entries that changed state instead of
+// rescanning the queue window.
+type bitset []uint64
+
+func (b bitset) set(i int32)   { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) clear(i int32) { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// next returns the smallest member >= i, or -1. It re-reads the backing
+// words on every call, so members added behind a walk's cursor are seen.
+func (b bitset) next(i int) int {
+	w := i >> 6
+	if w >= len(b) {
+		return -1
+	}
+	word := b[w] &^ (1<<(uint(i)&63) - 1)
+	for word == 0 {
+		w++
+		if w >= len(b) {
+			return -1
+		}
+		word = b[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
+}
+
+// fit grows the set to hold position i (amortized: the words are reused
+// across cycles and invocations).
+func (b bitset) fit(i int32) bitset {
+	for int(i>>6) >= len(b) {
+		b = append(b, 0)
+	}
+	return b
+}
+
+// count returns the number of members.
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// reset empties the set, keeping its capacity.
+func (b bitset) reset() {
+	for w := range b {
+		b[w] = 0
+	}
+}
+
 // Accelerator is one modeled hardware accelerator: a statically elaborated
 // CDFG executed by the dynamic LLVM runtime engine, attached to the system
 // through a communications interface.
@@ -159,11 +213,13 @@ type Accelerator struct {
 	inflight int
 	argBits  []uint64
 	// readyCount tracks resQ entries that are waiting with all operands
-	// resolved; readyLow is a lower bound on the smallest such index. The
-	// issue scan starts at the watermark and skips entirely when nothing
-	// is ready.
+	// resolved; ready holds exactly their queue positions, set and cleared
+	// at the same transitions that move the count. readyLow is the
+	// smallest ready position seen by the last issue pass (lowered by
+	// wakes), kept because checkpoints record it.
 	readyCount int
 	readyLow   int
+	ready      bitset
 	// resident counts non-committed resQ entries (the window-check scan
 	// in handleTerminator reduced to a counter).
 	resident int
@@ -173,9 +229,10 @@ type Accelerator struct {
 	pendLoads, pendStores, pendComp int
 	inflLoads, inflStores           int
 	// arrivals counts in-flight ops whose completion callback has fired
-	// but which have not yet committed; the commit-phase scan is skipped
-	// when it is zero.
+	// but which have not yet committed; arrived holds their queue
+	// positions, so the commit phase visits exactly those ops.
 	arrivals int
+	arrived  bitset
 	// zeroLatProgress is set when a zero-latency commit or block fetch
 	// happens inside the issue scan: only those events can unlock earlier
 	// queue entries within the same cycle.
@@ -212,6 +269,9 @@ type Accelerator struct {
 	opStamp    []uint64
 	cycleStamp uint64
 	fetches    int // block fetches this cycle
+	// fuBusyN and fuIssuedN are the sums of fuBusy and fuIssued, so idle
+	// cycles skip the per-class clears and occupancy loops.
+	fuBusyN, fuIssuedN int
 
 	startCycle uint64
 
@@ -337,6 +397,7 @@ func (a *Accelerator) Reconfigure(g *CDFG, cfg AccelConfig) {
 	for i := range a.fuTotal {
 		a.fuTotal[i], a.fuBusy[i], a.fuIssued[i] = 0, 0, 0
 	}
+	a.fuBusyN, a.fuIssuedN = 0, 0
 	for _, c := range hw.AllFUClasses() {
 		a.fuTotal[c] = g.FUTotal[c]
 	}
@@ -350,6 +411,8 @@ func (a *Accelerator) Reconfigure(g *CDFG, cfg AccelConfig) {
 	a.pendLoads, a.pendStores, a.pendComp = 0, 0, 0
 	a.inflLoads, a.inflStores = 0, 0
 	a.arrivals = 0
+	a.ready.reset()
+	a.arrived.reset()
 	a.zeroLatProgress = false
 	a.hazLoad, a.hazStore, a.hazFU, a.hazOrder = false, false, false, false
 	a.fetchBlocked = false
@@ -389,17 +452,20 @@ func (a *Accelerator) Start(args []uint64) {
 	a.pendLoads, a.pendStores, a.pendComp = 0, 0, 0
 	a.inflLoads, a.inflStores = 0, 0
 	a.arrivals = 0
+	a.ready.reset()
+	a.arrived.reset()
 	for i := range a.lastDef {
 		a.lastDef[i] = defRec{}
 	}
 	for i := range a.fuBusy {
 		a.fuBusy[i] = 0
 	}
+	a.fuBusyN = 0
 	a.argBits = append(a.argBits[:0], args...)
 	a.startCycle = a.Cycles
 	a.Invocations.Inc(1)
 	a.Comm.MMR.SetReg(StatusReg, 1) // busy
-	a.fetch(f.Entry(), nil)
+	a.fetch(a.CDFG.BlockOps[f.Entry()], nil)
 	a.Activate()
 }
 
@@ -415,6 +481,7 @@ func (a *Accelerator) newDynOp() *dynOp {
 	d.arriveFn = func() {
 		d.arrived = true
 		a.arrivals++
+		a.arrived.set(d.qi)
 		a.Activate()
 	}
 	d.readDoneFn = func(data []byte) {
@@ -432,6 +499,7 @@ func (a *Accelerator) newDynOp() *dynOp {
 		d.val = bits
 		d.arrived = true
 		a.arrivals++
+		a.arrived.set(d.qi)
 		a.Activate()
 	}
 	return d
@@ -445,11 +513,12 @@ func (a *Accelerator) recycle(d *dynOp) {
 	a.opPool = append(a.opPool, d)
 }
 
-// fetch imports a basic block into the reservation queue, generating
-// dynamic dependencies by searching the newest definitions (the paper's
-// upward search of the reservation and in-flight queues).
-func (a *Accelerator) fetch(b *ir.Block, prev *ir.Block) {
-	for _, st := range a.CDFG.BlockOps[b] {
+// fetch imports a basic block's static ops into the reservation queue,
+// generating dynamic dependencies by searching the newest definitions (the
+// paper's upward search of the reservation and in-flight queues). prev is
+// the block control arrived from, which resolves phis.
+func (a *Accelerator) fetch(ops []*StaticOp, prev *ir.Block) {
+	for _, st := range ops {
 		in := st.In
 		d := a.newDynOp()
 		d.st, d.seq = st, a.seq
@@ -507,6 +576,7 @@ func (a *Accelerator) fetch(b *ir.Block, prev *ir.Block) {
 		}
 		d.qi = int32(len(a.resQ))
 		a.resQ = append(a.resQ, d)
+		a.fitSets(d.qi)
 		a.resident++
 		switch {
 		case st.Load:
@@ -518,6 +588,7 @@ func (a *Accelerator) fetch(b *ir.Block, prev *ir.Block) {
 		}
 		if d.waitingOn == 0 {
 			a.readyCount++
+			a.ready.set(d.qi)
 			if int(d.qi) < a.readyLow {
 				a.readyLow = int(d.qi)
 			}
@@ -535,6 +606,7 @@ func (a *Accelerator) commit(d *dynOp) {
 	if d.state == stWaiting {
 		// Zero-latency and terminator commits consume a ready entry.
 		a.readyCount--
+		a.ready.clear(d.qi)
 	} else if d.state == stInflight && st.Mem {
 		if st.Store {
 			a.inflStores--
@@ -557,6 +629,7 @@ func (a *Accelerator) commit(d *dynOp) {
 		a.FUEnergyPJ.Inc(st.EnergyPJ)
 		if !st.Pipelined {
 			a.fuBusy[st.Class]--
+			a.fuBusyN--
 		}
 	}
 	if st.Result {
@@ -574,6 +647,7 @@ func (a *Accelerator) commit(d *dynOp) {
 			// The waiter becomes issuable; it can sit below the current
 			// watermark (wakes land at arbitrary queue positions).
 			a.readyCount++
+			a.ready.set(w.op.qi)
 			if int(w.op.qi) < a.readyLow {
 				a.readyLow = int(w.op.qi)
 			}
@@ -597,7 +671,7 @@ func (a *Accelerator) evaluate(d *dynOp) uint64 {
 	case in.Op.IsCast():
 		return ir.EvalCast(in.Op, in.Args[0].Type(), in.T, ops[0])
 	case in.Op == ir.OpGEP:
-		return ir.EvalGEP(in, ops[0], ops[1:])
+		return ir.EvalGEPStrides(in, d.st.GEPStrides, ops[0], ops[1:])
 	case in.Op == ir.OpPhi:
 		return ops[0]
 	case in.Op == ir.OpSelect:
@@ -695,6 +769,7 @@ func (a *Accelerator) tryIssueMem(d *dynOp) bool {
 		}
 		d.state = stInflight
 		a.readyCount--
+		a.ready.clear(d.qi)
 		a.inflight++
 		a.inflLoads++
 		return true
@@ -729,6 +804,7 @@ func (a *Accelerator) tryIssueMem(d *dynOp) bool {
 	}
 	d.state = stInflight
 	a.readyCount--
+	a.ready.clear(d.qi)
 	a.inflight++
 	a.inflStores++
 	return true
@@ -759,9 +835,11 @@ func (a *Accelerator) issueCompute(d *dynOp) {
 	c := d.st.Class
 	if c != hw.FUNone {
 		a.fuIssued[c]++
+		a.fuIssuedN++
 		a.opStamp[d.st.ID] = a.cycleStamp
 		if !d.st.Pipelined {
 			a.fuBusy[c]++
+			a.fuBusyN++
 		}
 	}
 	for _, e := range d.st.ReadPJ {
@@ -775,6 +853,7 @@ func (a *Accelerator) issueCompute(d *dynOp) {
 	}
 	d.state = stInflight
 	a.readyCount--
+	a.ready.clear(d.qi)
 	a.inflight++
 	lat := d.st.Latency
 	// PriBeforeClock: the result is ready when the commit edge runs, so a
@@ -808,18 +887,14 @@ func (a *Accelerator) handleTerminator(d *dynOp) bool {
 		a.commit(d)
 		return true
 	case ir.OpBr:
-		var next *ir.Block
-		if len(in.Args) == 0 {
-			next = in.Blocks[0]
-		} else if d.operands[0] != 0 {
-			next = in.Blocks[0]
-		} else {
-			next = in.Blocks[1]
+		next := d.st.Succs[0]
+		if len(in.Args) != 0 && d.operands[0] == 0 {
+			next = d.st.Succs[1]
 		}
 		// Window check: defer the fetch while other work is resident, but
 		// never wedge — once only this terminator remains, the next block
 		// must be admitted even if it exceeds the configured window.
-		if resident := a.resident; resident > 1 && resident-1+len(next.Instrs) > a.Cfg.ResQueueSize {
+		if resident := a.resident; resident > 1 && resident-1+len(next) > a.Cfg.ResQueueSize {
 			a.fetchBlocked = true
 			return false // window full; retry next cycle
 		}
@@ -837,8 +912,11 @@ func (a *Accelerator) handleTerminator(d *dynOp) bool {
 func (a *Accelerator) cycle() bool {
 	a.ActiveCycles.Inc(1)
 	a.Comm.NewCycle()
-	for i := range a.fuIssued {
-		a.fuIssued[i] = 0
+	if a.fuIssuedN > 0 {
+		for i := range a.fuIssued {
+			a.fuIssued[i] = 0
+		}
+		a.fuIssuedN = 0
 	}
 	a.cycleStamp++
 	a.fetches = 0
@@ -846,44 +924,34 @@ func (a *Accelerator) cycle() bool {
 	a.fetchBlocked = false
 	a.cycLoads, a.cycStores, a.cycFP, a.cycInt, a.cycOther = 0, 0, 0, 0, 0
 
-	// Commit phase: everything whose result arrived since the last edge.
-	// The arrivals counter (bumped by the completion callbacks) bounds the
-	// scan: it is skipped outright on cycles with nothing to commit and
-	// stops at the last arrived op otherwise.
-	for qi := 0; qi < len(a.resQ) && a.arrivals > 0; qi++ {
+	// Commit phase: everything whose result arrived since the last edge,
+	// in queue order. Commits only wake waiters, never add arrivals, so the
+	// arrived set is final for the walk.
+	for qi := a.arrived.next(0); qi >= 0; qi = a.arrived.next(qi + 1) {
 		d := a.resQ[qi]
-		if d.state == stInflight && d.arrived {
-			a.inflight--
-			a.arrivals--
-			a.commit(d)
-		}
+		a.arrived.clear(d.qi)
+		a.inflight--
+		a.arrivals--
+		a.commit(d)
 	}
 
-	// Issue phase: scan in program order, starting at the ready watermark
-	// (every entry below it is either in flight or awaiting operands). A
-	// rescan is only useful when a zero-latency commit or a block fetch
-	// happened — those are the only same-cycle events that can unlock
-	// earlier queue entries or add new ones; latency-bearing issues commit
-	// at later edges. When nothing is ready the phase is skipped outright.
+	// Issue phase: visit ready entries in program order. The walk re-reads
+	// the ready set after every visit, so entries woken or fetched above
+	// the cursor in the same pass are visited in it. A rescan is only
+	// useful when a zero-latency commit or a block fetch happened — those
+	// are the only same-cycle events that can unlock earlier queue entries;
+	// latency-bearing issues commit at later edges. When nothing is ready
+	// the phase is skipped outright.
 	issued := 0
 	issuedFP := false
 	for rescan := true; rescan && a.readyCount > 0; {
 		a.zeroLatProgress = false
-		for a.readyLow < len(a.resQ) {
-			d := a.resQ[a.readyLow]
-			if d.state == stWaiting && d.waitingOn == 0 {
-				break
-			}
-			a.readyLow++
+		low := a.ready.next(a.readyLow)
+		if a.readyLow = low; low < 0 {
+			a.readyLow = len(a.resQ)
 		}
-		// readyCount upper-bounds the remaining ready entries: issues and
-		// zero-latency commits keep it exact, so once it reaches zero no
-		// entry above qi can be issuable and the scan can stop early.
-		for qi := a.readyLow; qi < len(a.resQ) && a.readyCount > 0; qi++ {
+		for qi := low; qi >= 0; qi = a.ready.next(qi + 1) {
 			d := a.resQ[qi]
-			if d.state != stWaiting || d.waitingOn > 0 {
-				continue
-			}
 			st := d.st
 			switch {
 			case st.Term:
@@ -933,15 +1001,15 @@ func (a *Accelerator) cycle() bool {
 
 	// Compact committed ops out of the queues: memory list first, then the
 	// reservation queue, where committed ops return to the pool. Surviving
-	// ops get fresh queue indices and the ready watermark is rebuilt.
+	// ops get fresh queue indices, and the ready watermark and both
+	// position sets are rebuilt.
 	// Compaction is amortized: committed entries linger until they are at
-	// least a quarter of the queue, because every scan (commit, issue,
-	// disambiguation) already skips stDone entries and all architectural
-	// state — window checks, stall classification, profiling — reads the
-	// resident counter, never the queue length. Deferral therefore changes
-	// no simulated behaviour, only when the O(queue) rewrite is paid.
-	// readyLow stays a (possibly stale but valid) lower bound between
-	// compactions; the next issue phase advances it.
+	// least a quarter of the queue, because the commit and issue walks
+	// visit only set members, disambiguation skips stDone entries, and all
+	// architectural state — window checks, stall classification,
+	// profiling — reads the resident counter, never the queue length.
+	// Deferral therefore changes no simulated behaviour, only when the
+	// O(queue) rewrite is paid.
 	if dead := len(a.resQ) - a.resident; dead > 0 && dead*4 >= len(a.resQ) {
 		keptMem := a.pendingMem[:0]
 		for _, d := range a.pendingMem {
@@ -950,24 +1018,22 @@ func (a *Accelerator) cycle() bool {
 			}
 		}
 		a.pendingMem = keptMem
+		a.ready.reset()
+		a.arrived.reset()
 		kept := a.resQ[:0]
-		newLow := len(a.resQ)
 		for _, d := range a.resQ {
 			if d.state == stDone {
 				a.recycle(d)
 				continue
 			}
 			d.qi = int32(len(kept))
-			if d.state == stWaiting && d.waitingOn == 0 && int(d.qi) < newLow {
-				newLow = int(d.qi)
-			}
 			kept = append(kept, d)
+			a.markSets(d)
 		}
 		a.resQ = kept
-		if newLow > len(kept) {
-			newLow = len(kept)
+		if a.readyLow = a.ready.next(0); a.readyLow < 0 {
+			a.readyLow = len(kept)
 		}
-		a.readyLow = newLow
 	}
 
 	// Cycle-level statistics (Sec. III-C2).
@@ -981,7 +1047,7 @@ func (a *Accelerator) cycle() bool {
 		}
 		a.resQ = a.resQ[:0]
 		a.pendingMem = a.pendingMem[:0]
-		a.readyLow = 0
+		a.readyLow = 0 // both position sets are already empty
 		a.running = false
 		kc := a.Cycles - a.startCycle
 		a.KernelCycles.Sample(float64(kc))
@@ -995,6 +1061,26 @@ func (a *Accelerator) cycle() bool {
 		return false
 	}
 	return true
+}
+
+// fitSets grows both position sets to cover queue position i.
+func (a *Accelerator) fitSets(i int32) {
+	if int(i>>6) >= len(a.ready) {
+		a.ready = a.ready.fit(i)
+		a.arrived = a.arrived.fit(i)
+	}
+}
+
+// markSets adds a resident op to the ready or arrived position set its
+// state puts it in, for rebuilds after queue positions were renumbered.
+// The sets must already cover the op's position.
+func (a *Accelerator) markSets(d *dynOp) {
+	switch {
+	case d.state == stWaiting && d.waitingOn == 0:
+		a.ready.set(d.qi)
+	case d.state == stInflight && d.arrived:
+		a.arrived.set(d.qi)
+	}
 }
 
 // incIssued bumps the per-class issue counter through a lazily bound
@@ -1048,14 +1134,19 @@ func (a *Accelerator) recordCycleStats(issued int, issuedFP bool) {
 	// FU occupancy: pipelined units are busy when they initiate an op
 	// this cycle; unpipelined units while an op is resident. fuAvailable
 	// keeps fuIssued+fuBusy <= total, so occupancy stays within [0, 1].
-	for c := range a.fuIssued {
-		if n := a.fuIssued[c]; n > 0 && a.CDFG.Profile.Spec(hw.FUClass(c)).Pipelined {
-			a.incOccupancy(hw.FUClass(c), float64(n))
+	if a.fuIssuedN > 0 {
+		pipelined := a.CDFG.pipelined
+		for c, n := range a.fuIssued {
+			if n > 0 && pipelined[c] {
+				a.incOccupancy(hw.FUClass(c), float64(n))
+			}
 		}
 	}
-	for c := range a.fuBusy {
-		if n := a.fuBusy[c]; n > 0 {
-			a.incOccupancy(hw.FUClass(c), float64(n))
+	if a.fuBusyN > 0 {
+		for c, n := range a.fuBusy {
+			if n > 0 {
+				a.incOccupancy(hw.FUClass(c), float64(n))
+			}
 		}
 	}
 	if a.hazLoad || a.hazStore || a.hazFU || a.hazOrder {

@@ -20,7 +20,7 @@ type rig struct {
 	stats *sim.Group
 }
 
-func newRig(t *testing.T, f *ir.Function, cfg AccelConfig, limits map[hw.FUClass]int) *rig {
+func newRig(t testing.TB, f *ir.Function, cfg AccelConfig, limits map[hw.FUClass]int) *rig {
 	t.Helper()
 	q := sim.NewEventQueue()
 	space := ir.NewFlatMem(0, 1<<20)

@@ -62,6 +62,13 @@ type StaticOp struct {
 	WritePJ          float64   // register-write energy on commit
 	MemReadPJ        float64   // register-read energy on memory issue
 	ReadPJ           []float64 // per-argument register-read energy
+
+	// GEPStrides holds a GEP's per-index byte strides, so evaluating a
+	// dynamic GEP never recomputes (or allocates) them.
+	GEPStrides []int64
+	// Succs parallels In.Blocks on a br terminator: the static ops of each
+	// successor block, so taking a branch never consults BlockOps.
+	Succs [][]*StaticOp
 }
 
 // IsMem reports whether the op uses the memory queues instead of an FU.
@@ -105,6 +112,9 @@ type CDFG struct {
 	// opsByID maps a dense ID back to its static op, so snapshots can
 	// name ops by ID and restores can rebind them.
 	opsByID []*StaticOp
+	// pipelined is indexed by hw.FUClass: the profile's Pipelined flag as
+	// a dense array for the per-cycle occupancy statistics.
+	pipelined []bool
 }
 
 // OpByID returns the static op with the given dense ID.
@@ -207,6 +217,19 @@ func Elaborate(f *ir.Function, profile *hw.Profile, limits map[hw.FUClass]int) (
 			if op.Result {
 				op.WritePJ = profile.Reg.WriteEnergyPJ * float64(in.T.Bits())
 			}
+			switch in.Op {
+			case ir.OpGEP:
+				strides, ok := in.CheckedGEPStrides()
+				if !ok {
+					return nil, fmt.Errorf("core: %%%s: gep indexes through a non-array", in.Name)
+				}
+				op.GEPStrides = strides
+			case ir.OpBr:
+				op.Succs = make([][]*StaticOp, len(in.Blocks))
+				for k, succ := range in.Blocks {
+					op.Succs[k] = g.BlockOps[succ]
+				}
+			}
 			if op.Load {
 				op.AccSize = in.T.SizeBytes()
 				op.MemReadPJ = profile.Reg.ReadEnergyPJ * 64
@@ -219,6 +242,10 @@ func Elaborate(f *ir.Function, profile *hw.Profile, limits map[hw.FUClass]int) (
 	for _, p := range f.Params {
 		g.RegBits += p.T.Bits()
 		g.RegCount++
+	}
+	g.pipelined = make([]bool, hw.NumFUClasses())
+	for _, c := range hw.AllFUClasses() {
+		g.pipelined[c] = profile.Spec(c).Pipelined
 	}
 	for _, c := range hw.AllFUClasses() {
 		n, ok := demand[c]

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -95,9 +97,35 @@ func TestEngineInterpreterEquivalenceProperty(t *testing.T) {
 		cfg.PipelineLoops = rng.Intn(2) == 0
 		cfg.ConservativeMemOrder = rng.Intn(2) == 0
 
-		r := newRig(t, f, cfg, map[hw.FUClass]int{hw.FUFPAdder: 1 + rng.Intn(3)})
+		limits := map[hw.FUClass]int{hw.FUFPAdder: 1 + rng.Intn(3)}
+		r := newRig(t, f, cfg, limits)
 		args := setupWith(r.space, n, seed)
-		runToDone(t, r, args)
+		// Check the engine's derived bookkeeping at every event boundary,
+		// and once, at a random mid-run cycle, that a checkpoint restored
+		// into a fresh engine rebuilds the same position sets.
+		restoreAt := uint64(1 + rng.Intn(4*n))
+		restored := false
+		done := false
+		r.acc.OnDone = func() { done = true }
+		r.acc.Start(args)
+		r.q.RunWhile(func() bool {
+			if err := checkEngineSets(r.acc); err != nil {
+				t.Logf("seed %d, cycle %d: %v", seed, r.acc.Cycles, err)
+				return false
+			}
+			if !restored && r.acc.Cycles >= restoreAt && !done {
+				restored = true
+				if err := checkRestoredSets(t, r, f, cfg, limits); err != nil {
+					t.Logf("seed %d, cycle %d: %v", seed, r.acc.Cycles, err)
+					return false
+				}
+			}
+			return !done
+		})
+		if !done {
+			t.Logf("seed %d: accelerator never finished", seed)
+			return false
+		}
 
 		for i := range ref.Data {
 			if ref.Data[i] != r.space.Data[i] {
@@ -110,6 +138,79 @@ func TestEngineInterpreterEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkEngineSets compares the engine's ready and arrived position sets
+// against a brute-force rescan of the reservation queue: a position is
+// ready exactly when its op waits with every operand resolved, arrived
+// exactly when its op is in flight with its completion delivered, and the
+// counters and watermark agree with the sets.
+func checkEngineSets(a *Accelerator) error {
+	if n := a.ready.count(); n != a.readyCount {
+		return fmt.Errorf("popcount(ready) = %d, readyCount = %d", n, a.readyCount)
+	}
+	if n := a.arrived.count(); n != a.arrivals {
+		return fmt.Errorf("popcount(arrived) = %d, arrivals = %d", n, a.arrivals)
+	}
+	if i := a.ready.next(len(a.resQ)); i >= 0 {
+		return fmt.Errorf("ready bit %d beyond queue length %d", i, len(a.resQ))
+	}
+	if i := a.arrived.next(len(a.resQ)); i >= 0 {
+		return fmt.Errorf("arrived bit %d beyond queue length %d", i, len(a.resQ))
+	}
+	for qi, d := range a.resQ {
+		if int(d.qi) != qi {
+			return fmt.Errorf("resQ[%d] records position %d", qi, d.qi)
+		}
+		isReady := a.ready.next(qi) == qi
+		if want := d.state == stWaiting && d.waitingOn == 0; isReady != want {
+			return fmt.Errorf("resQ[%d] (state %d, waitingOn %d): ready bit %v", qi, d.state, d.waitingOn, isReady)
+		}
+		if isReady && qi < a.readyLow {
+			return fmt.Errorf("ready resQ[%d] below watermark %d", qi, a.readyLow)
+		}
+		isArrived := a.arrived.next(qi) == qi
+		if want := d.state == stInflight && d.arrived; isArrived != want {
+			return fmt.Errorf("resQ[%d] (state %d, arrived %v): arrived bit %v", qi, d.state, d.arrived, isArrived)
+		}
+	}
+	return nil
+}
+
+// checkRestoredSets captures the rig's engine mid-run, restores the image
+// into a fresh engine over the same kernel and configuration, and requires
+// the rebuilt position sets and watermark to equal the live ones.
+func checkRestoredSets(t *testing.T, r *rig, f *ir.Function, cfg AccelConfig, limits map[hw.FUClass]int) error {
+	st, err := r.acc.CaptureState()
+	if err != nil {
+		return err
+	}
+	r2 := newRig(t, f, cfg, limits)
+	r2.q.RestoreAt(r.q.Now(), r.q.Seq(), r.q.Fired())
+	if err := r2.acc.RestoreState(st); err != nil {
+		return err
+	}
+	if err := checkEngineSets(r2.acc); err != nil {
+		return fmt.Errorf("restored engine: %v", err)
+	}
+	a, b := r.acc, r2.acc
+	if !sameSet(a.ready, b.ready) || !sameSet(a.arrived, b.arrived) || a.readyLow != b.readyLow {
+		return fmt.Errorf("restored sets differ: ready %x/%x arrived %x/%x low %d/%d",
+			a.ready, b.ready, a.arrived, b.arrived, a.readyLow, b.readyLow)
+	}
+	return nil
+}
+
+// sameSet compares two position sets, ignoring trailing empty words (set
+// capacity depends on the queue's high-water mark, not its contents).
+func sameSet(x, y bitset) bool {
+	for len(x) > 0 && x[len(x)-1] == 0 {
+		x = x[:len(x)-1]
+	}
+	for len(y) > 0 && y[len(y)-1] == 0 {
+		y = y[:len(y)-1]
+	}
+	return slices.Equal(x, y)
 }
 
 // setupWith deterministically initializes the two buffers from a seed.

@@ -42,8 +42,8 @@ func (a *Accelerator) CaptureState() (snapshot.Accel, error) {
 	st := snapshot.Accel{
 		Clk:     a.CaptureClock(),
 		Running: a.running, Finished: a.finished, RetBits: a.retBits,
-		Seq:     a.seq,
-		ArgBits: append([]uint64(nil), a.argBits...),
+		Seq:        a.seq,
+		ArgBits:    append([]uint64(nil), a.argBits...),
 		StartCycle: a.startCycle,
 		Inflight:   a.inflight, Arrivals: a.arrivals, Resident: a.resident,
 		PendLoads: a.pendLoads, PendStores: a.pendStores, PendComp: a.pendComp,
@@ -109,6 +109,10 @@ func (a *Accelerator) RestoreState(st snapshot.Accel) error {
 	a.inflLoads, a.inflStores = st.InflLoads, st.InflStores
 	a.readyCount, a.readyLow = st.ReadyCount, st.ReadyLow
 	copy(a.fuBusy, st.FuBusy)
+	a.fuBusyN = 0
+	for _, n := range a.fuBusy {
+		a.fuBusyN += n
+	}
 	copy(a.opStamp, st.OpStamp)
 	a.cycleStamp = st.CycleStamp
 
@@ -147,6 +151,20 @@ func (a *Accelerator) RestoreState(st snapshot.Accel) error {
 		if sd.HasEv {
 			d.ev = a.Q.ScheduleRestored(sd.Ev, d.arriveFn)
 		}
+	}
+	// The ready and arrived position sets are derived state: rebuilt from
+	// the ops, then cross-checked against the image's counters.
+	a.ready.reset()
+	a.arrived.reset()
+	for _, d := range a.resQ {
+		a.fitSets(d.qi)
+		a.markSets(d)
+	}
+	if n := a.ready.count(); n != a.readyCount {
+		return fmt.Errorf("core: %s: image ready count %d, but %d ops are ready", a.Name(), a.readyCount, n)
+	}
+	if n := a.arrived.count(); n != a.arrivals {
+		return fmt.Errorf("core: %s: image arrival count %d, but %d ops arrived", a.Name(), a.arrivals, n)
 	}
 	a.pendingMem = a.pendingMem[:0]
 	for _, qi := range st.PendingMem {

@@ -219,17 +219,17 @@ func (r *region) cornerPoints() int {
 //     corner's floor bounds every measurement in the box.
 //   - EnergyPJ: a cross-corner composition, each term minimized at the
 //     corner where it is provably smallest:
-//       - the FU + register dynamic floor is config-independent across the
-//         region (FU limits change unit counts, never op counts or per-op
-//         energies), so any corner serves — it is read at (f1, p1, b1);
-//       - the SPM access-energy floor is non-increasing in banks (CACTI
-//         read/write energy falls with bank subdivision) and independent
-//         of units and ports, so the b1 corner bounds it;
-//       - the leakage term multiplies the (f0, p0, b0) leakage floor
-//         (non-decreasing in units, ports, banks) by the (f1, p1) cycle
-//         bound times the clock period — each factor a positive lower
-//         bound of its measured counterpart, so the product bounds
-//         leakage x elapsed for every point in the box.
+//   - the FU + register dynamic floor is config-independent across the
+//     region (FU limits change unit counts, never op counts or per-op
+//     energies), so any corner serves — it is read at (f1, p1, b1);
+//   - the SPM access-energy floor is non-increasing in banks (CACTI
+//     read/write energy falls with bank subdivision) and independent
+//     of units and ports, so the b1 corner bounds it;
+//   - the leakage term multiplies the (f0, p0, b0) leakage floor
+//     (non-decreasing in units, ports, banks) by the (f1, p1) cycle
+//     bound times the clock period — each factor a positive lower
+//     bound of its measured counterpart, so the product bounds
+//     leakage x elapsed for every point in the box.
 //   - EDP: EnergyPJ times the cycle bound times the period. Measured EDP
 //     is energy x elapsed with both factors at or above their floors.
 //

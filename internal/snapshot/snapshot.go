@@ -80,7 +80,7 @@ type Clock struct {
 
 // Stat kinds inside a Group.
 const (
-	StatScalar       uint8 = iota + 1
+	StatScalar uint8 = iota + 1
 	StatVector
 	StatDistribution
 	StatFormula

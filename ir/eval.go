@@ -212,7 +212,13 @@ func EvalCall(callee string, t Type, args []uint64) uint64 {
 // EvalGEP computes the byte address of a GEP given the base address and
 // index operand bits. Index operands are treated as signed.
 func EvalGEP(i *Instr, base uint64, idxBits []uint64) uint64 {
-	strides := i.GEPStrides()
+	return EvalGEPStrides(i, i.GEPStrides(), base, idxBits)
+}
+
+// EvalGEPStrides is EvalGEP with the instruction's strides (GEPStrides)
+// supplied by the caller, so an engine that precomputes them once per
+// static instruction evaluates each dynamic GEP without allocating.
+func EvalGEPStrides(i *Instr, strides []int64, base uint64, idxBits []uint64) uint64 {
 	addr := int64(base)
 	for k, s := range strides {
 		idx := SignExt(i.Args[k+1].Type(), idxBits[k])

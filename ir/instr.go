@@ -197,24 +197,40 @@ func (i *Instr) Block() *Block { return i.blk }
 func (i *Instr) HasResult() bool { return i.T.Kind() != KVoid }
 
 // GEPStrides returns, for a GEP instruction, the byte stride multiplied by
-// each index operand: offset = sum(idx[k] * stride[k]).
+// each index operand: offset = sum(idx[k] * stride[k]). It is the panicking
+// form of CheckedGEPStrides for programmatic callers.
 func (i *Instr) GEPStrides() []int64 {
-	if i.Op != OpGEP {
-		panic("ir: GEPStrides on non-GEP")
+	strides, ok := i.CheckedGEPStrides()
+	if !ok {
+		panic(fmt.Sprintf("ir: GEPStrides on malformed GEP %%%s", i.Name))
 	}
-	base := i.Args[0].Type().(PtrType)
+	return strides
+}
+
+// CheckedGEPStrides is GEPStrides for callers that must turn a malformed
+// GEP into an error: it reports false when the instruction is not a GEP
+// over a pointer with at least one index, or when an index beyond the
+// first steps through a non-array type.
+func (i *Instr) CheckedGEPStrides() ([]int64, bool) {
+	if i.Op != OpGEP || len(i.Args) < 2 {
+		return nil, false
+	}
+	base, ok := i.Args[0].Type().(PtrType)
+	if !ok {
+		return nil, false
+	}
 	strides := make([]int64, len(i.Args)-1)
 	cur := base.Elem
 	strides[0] = int64(cur.SizeBytes())
 	for k := 1; k < len(strides); k++ {
 		at, ok := cur.(ArrayType)
 		if !ok {
-			panic(fmt.Sprintf("ir: GEP %s indexes through non-array %s", i.Name, cur))
+			return nil, false
 		}
 		cur = at.Elem
 		strides[k] = int64(cur.SizeBytes())
 	}
-	return strides
+	return strides, true
 }
 
 // GEPElem returns the pointee type of a GEP's result, or false when an

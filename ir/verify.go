@@ -133,16 +133,8 @@ func verifyInstr(f *Function, b *Block, in *Instr, blocks map[*Block]bool, preds
 				return fail("gep index of type %s", idx.Type())
 			}
 		}
-		if err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fail("%v", r)
-				}
-			}()
-			in.GEPStrides()
-			return nil
-		}(); err != nil {
-			return err
+		if _, ok := in.CheckedGEPStrides(); !ok {
+			return fail("gep indexes through a non-array")
 		}
 	case in.Op == OpPhi:
 		if len(in.Args) == 0 || len(in.Args) != len(in.Blocks) {

@@ -40,11 +40,11 @@ import (
 // portable between sessions using the same profile object.
 func fingerprintFor(k *kernels.Kernel, opts RunOpts, spaceSize int) string {
 	doc := struct {
-		Kernel string
-		Space  int
-		Seed   int64
-		Mem    MemKind
-		Accel  AccelConfig
+		Kernel                                  string
+		Space                                   int
+		Seed                                    int64
+		Mem                                     MemKind
+		Accel                                   AccelConfig
 		SPMLatency, SPMBanks, SPMPortsPer       int
 		CacheBytes, CacheLine, CacheAssoc, MSHR int
 	}{
