@@ -52,7 +52,7 @@ fuzz-smoke:
 # layer on top — must stay race-clean by construction.
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/experiments/... ./internal/search/... ./internal/serve/... ./internal/sample/...
-	$(GO) test -race -run 'TestSampled|TestRestore|TestCheckpoint|TestSessionPool' -count=1 .
+	$(GO) test -race -run 'TestSampled|TestRestore|TestCheckpoint|TestSessionPool|TestSoCWarmStart|TestSoCRestoreThenRun' -count=1 .
 
 # Golden determinism guard: simulated cycle counts for the committed
 # kernel set must stay byte-identical to testdata/golden_cycles.json.
@@ -84,9 +84,11 @@ search-smoke:
 # Snapshot smoke: restore-then-run must be byte-identical to straight-run
 # over the full golden kernel set (the restore-exactness CI gate), and
 # checkpoint images must survive a Checkpoint -> Restore -> Checkpoint
-# round trip byte for byte.
+# round trip byte for byte. The SoC gates run the same warm==cold and
+# restore==straight checks over the stream, cluster+DMA and LLC
+# topologies, so every registered component honors the registry.
 snapshot-smoke:
-	$(GO) test -run 'TestRestoreThenRunGoldenSuite|TestCheckpointImageByteStability' -count=1 .
+	$(GO) test -run 'TestRestoreThenRunGoldenSuite|TestCheckpointImageByteStability|TestSoCWarmStartStreaming|TestSoCRestoreThenRun' -count=1 .
 
 # Sampled-simulation smoke: the interval-sampled estimate must honor its
 # own reported error bound against the exact run, and a sampled session

@@ -52,6 +52,7 @@ func (s *SoC) NewCluster(name string, o ClusterOpts) *Cluster {
 	c := &Cluster{Name: name, soc: s}
 	c.Local = mem.NewCrossbar(name+".xbar", s.Q, s.SysClk, 1, width, s.Stats)
 	c.Local.SetDefault(s.Xbar)
+	s.add(component{name: name + ".xbar", reset: c.Local.Reset, attach: c.Local.AttachTimeline})
 
 	if o.SharedSPMBytes > 0 {
 		lat, banks, ports := o.SPMLatency, o.SPMBanks, o.SPMPorts
@@ -77,6 +78,7 @@ func (s *SoC) NewCluster(name string, o ClusterOpts) *Cluster {
 	s.Xbar.Attach(c.DMA.MMR)
 	c.DMAIRQ = s.allocIRQ()
 	c.DMA.IRQ = s.GIC.Line(c.DMAIRQ)
+	s.add(dmaComponent(name+".dma", c.DMA))
 	return c
 }
 
@@ -112,6 +114,7 @@ func (s *SoC) EnableLLC(sizeBytes, lineBytes, assoc int) *mem.Cache {
 	llc := mem.NewCache("llc", s.Q, s.SysClk, s.Space, s.DRAM.Range(), s.DRAM,
 		sizeBytes, lineBytes, assoc, 4, 16, s.Stats)
 	s.Xbar.SetDefault(llc)
+	s.add(cacheComponent("llc", llc))
 	return llc
 }
 

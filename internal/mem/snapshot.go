@@ -233,3 +233,19 @@ func (m *MMRBlock) RestoreRegs(regs []uint64) error {
 	copy(m.regs, regs)
 	return nil
 }
+
+// CaptureState snapshots an idle DMA: its register file and the channel
+// pacing point, which outlives a transfer. Transfer progress is not part
+// of the format, so a busy DMA is refused.
+func (d *BlockDMA) CaptureState() (snapshot.DMA, error) {
+	if d.busy {
+		return snapshot.DMA{}, fmt.Errorf("mem: %s: transfer in flight", d.name)
+	}
+	return snapshot.DMA{NextIssue: uint64(d.nextIssue), MMR: d.MMR.Regs()}, nil
+}
+
+// RestoreState rewinds a freshly Reset DMA into a captured idle state.
+func (d *BlockDMA) RestoreState(st snapshot.DMA) error {
+	d.nextIssue = sim.Tick(st.NextIssue)
+	return d.MMR.RestoreRegs(st.MMR)
+}

@@ -26,16 +26,6 @@ import (
 	"hash/crc32"
 )
 
-// Image kinds.
-const (
-	// KindSession is a single-accelerator Session checkpoint taken
-	// mid-run at an event boundary.
-	KindSession = "session"
-	// KindSoC is a full-SoC checkpoint taken at quiescence (empty event
-	// queue).
-	KindSoC = "soc"
-)
-
 // Request owner tags: which component created an in-flight memory request
 // and will rebind its completion callback on restore. The values are part
 // of the image format; do not reorder.
@@ -174,6 +164,13 @@ type Comm struct {
 	MMR                     []uint64
 }
 
+// DMA is an idle block DMA's state: the channel pacing point (the
+// earliest tick its next burst may issue) and the MMR register file.
+type DMA struct {
+	NextIssue uint64
+	MMR       []uint64
+}
+
 // Waiter is one (consumer op, operand index) dependence edge, with the
 // consumer identified by its reservation-queue index.
 type Waiter struct {
@@ -234,46 +231,35 @@ type Accel struct {
 	LastDef                         []Def
 }
 
-// Component is one generically named SoC component's state; exactly the
-// fields a component kind uses are populated. Quiescent SoC checkpoints
-// use these for everything outside the shared queue/space/stats triple.
+// Component is one registered component's state, named by its
+// registration name; exactly the fields its kind uses are populated (an
+// accelerator fills Accel and Comm, a device one of SPM, Cache, DRAM or
+// DMA).
 type Component struct {
 	Name  string
-	Clk   *Clock
 	SPM   *SPM
 	Cache *Cache
 	DRAM  *DRAM
+	DMA   *DMA
 	Accel *Accel
 	Comm  *Comm
-	// Regs holds MMR-style register files (DMAs).
-	Regs []uint64
-	// Bytes holds raw contents (stream buffer payloads).
-	Bytes []byte
-	// Ints holds small named-by-convention integer state (GIC pending
-	// counts, host cycle counters, and similar).
-	Ints []int64
 }
 
-// Image is one complete checkpoint. Typed fields serve the Session path;
-// Comps serves the quiescent SoC path. Key is an opaque structural
+// Image is one complete checkpoint of a system: the queue position,
+// backing-store bytes and statistics tree every system shares, each
+// snapshot-capable component in registration order, and the requests
+// pending as scheduled completions. Key is an opaque structural
 // fingerprint that restore validates before touching any state.
 type Image struct {
-	Kind  string
 	Key   string
 	Queue Queue
 	Space []byte
 	Stats Group
-	// Session-path components.
-	Accel *Accel
-	Comm  *Comm
-	SPM   *SPM
-	Cache *Cache
-	DRAM  *DRAM
+	// Comps holds component states in registration order.
+	Comps []Component
 	// Sched holds requests pending as scheduled completions, sorted by
 	// event sequence number.
 	Sched []Req
-	// SoC-path components in registration order.
-	Comps []Component
 }
 
 // Binary envelope: magic, format version, payload length, gob payload,
@@ -283,7 +269,7 @@ type Image struct {
 var magic = [4]byte{'G', 'S', 'N', 'P'}
 
 // Version is the image format version. Decode rejects other versions.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // Encode serializes the image. Encoding the same logical state always
 // produces the same bytes: the payload is a gob stream of a fixed struct

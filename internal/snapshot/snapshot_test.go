@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -11,7 +12,6 @@ import (
 // testImage builds an image exercising every struct in the format.
 func testImage() *Image {
 	return &Image{
-		Kind:  KindSession,
 		Key:   "k:test",
 		Queue: Queue{Now: 12345, Seq: 678, Fired: 600, Pending: 3},
 		Space: []byte{1, 2, 3, 4, 5},
@@ -25,34 +25,38 @@ func testImage() *Image {
 			},
 			Children: []Group{{Name: "acc", Stats: []Stat{{Kind: StatScalar, Name: "stalls", V: 1}}}},
 		},
-		Accel: &Accel{
-			Clk:     Clock{Active: true, Cycles: 99, Armed: true, Tick: Event{When: 1000, Pri: 10, Seq: 55}},
-			Running: true,
-			Seq:     17,
-			ArgBits: []uint64{0x1000, 0x2000},
-			OpStamp: []uint64{1, 0, 2},
-			Ops: []DynOp{{
-				StaticID: 4, Seq: 16, Operands: []uint64{8, 9},
-				Pending: []bool{false, true}, WaitingOn: 1,
-				Waiters: []Waiter{{Op: 1, Idx: 0}}, State: 1,
-				HasEv: true, Ev: Event{When: 1100, Pri: 5, Seq: 56},
+		Comps: []Component{
+			{
+				Name: "acc",
+				Accel: &Accel{
+					Clk:     Clock{Active: true, Cycles: 99, Armed: true, Tick: Event{When: 1000, Pri: 10, Seq: 55}},
+					Running: true,
+					Seq:     17,
+					ArgBits: []uint64{0x1000, 0x2000},
+					OpStamp: []uint64{1, 0, 2},
+					Ops: []DynOp{{
+						StaticID: 4, Seq: 16, Operands: []uint64{8, 9},
+						Pending: []bool{false, true}, WaitingOn: 1,
+						Waiters: []Waiter{{Op: 1, Idx: 0}}, State: 1,
+						HasEv: true, Ev: Event{When: 1100, Pri: 5, Seq: 56},
+					}},
+					PendingMem: []int32{0},
+					LastDef:    []Def{{Val: 3, Producer: -1, Live: true}},
+				},
+				Comm: &Comm{OutReads: 1, MMR: []uint64{0, 1, 2, 3}},
+			},
+			{Name: "spm", SPM: &SPM{
+				Clk:    Clock{Active: true, Cycles: 98, Armed: true, Tick: Event{When: 1000, Pri: 10, Seq: 54}},
+				Queues: [][]Req{{{Owner: OwnerEngine, OwnerID: 16, Addr: 0x40, Size: 8, Issued: 12000}}, nil},
 			}},
-			PendingMem: []int32{0},
-			LastDef:    []Def{{Val: 3, Producer: -1, Live: true}},
+			{Name: "l1", Cache: &Cache{
+				Sets:    [][]CacheLine{{{Tag: 0x80, Valid: true, Dirty: true, LRU: 7}}},
+				LRUTick: 8,
+				MSHRs:   []MSHR{{LineAddr: 0xc0, Waiting: []Req{{Owner: OwnerEngine, OwnerID: 15, Addr: 0xc8, Size: 8}}}},
+			}},
+			{Name: "dram", DRAM: &DRAM{Queue: []Req{{Owner: OwnerCacheFill, OwnerID: 0xc0, Addr: 0xc0, Size: 64}}, OpenRow: []uint64{^uint64(0)}, Budget: 32}},
 		},
-		Comm: &Comm{OutReads: 1, MMR: []uint64{0, 1, 2, 3}},
-		SPM: &SPM{
-			Clk:    Clock{Active: true, Cycles: 98, Armed: true, Tick: Event{When: 1000, Pri: 10, Seq: 54}},
-			Queues: [][]Req{{{Owner: OwnerEngine, OwnerID: 16, Addr: 0x40, Size: 8, Issued: 12000}}, nil},
-		},
-		Cache: &Cache{
-			Sets:    [][]CacheLine{{{Tag: 0x80, Valid: true, Dirty: true, LRU: 7}}},
-			LRUTick: 8,
-			MSHRs:   []MSHR{{LineAddr: 0xc0, Waiting: []Req{{Owner: OwnerEngine, OwnerID: 15, Addr: 0xc8, Size: 8}}}},
-		},
-		DRAM:  &DRAM{Queue: []Req{{Owner: OwnerCacheFill, OwnerID: 0xc0, Addr: 0xc0, Size: 64}}, OpenRow: []uint64{^uint64(0)}, Budget: 32},
 		Sched: []Req{{Owner: OwnerWriteback, Addr: 0x100, Size: 64, Write: true, TimingOnly: true, Sched: true, Ev: Event{When: 1050, Pri: 20, Seq: 50}}},
-		Comps: []Component{{Name: "dma0", Regs: []uint64{1, 2}, Ints: []int64{0, 3}}},
 	}
 }
 
@@ -73,11 +77,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(b, b2) {
 		t.Fatalf("Encode→Decode→Encode not byte-identical (%d vs %d bytes)", len(b), len(b2))
 	}
-	if got.Queue != img.Queue || got.Kind != img.Kind || got.Key != img.Key {
+	if got.Queue != img.Queue || got.Key != img.Key {
 		t.Fatalf("decoded header mismatch: %+v", got.Queue)
 	}
-	if got.Accel.Ops[0].Ev != img.Accel.Ops[0].Ev {
-		t.Fatalf("dynOp event mismatch: %+v", got.Accel.Ops[0].Ev)
+	if got.Comps[0].Accel.Ops[0].Ev != img.Comps[0].Accel.Ops[0].Ev {
+		t.Fatalf("dynOp event mismatch: %+v", got.Comps[0].Accel.Ops[0].Ev)
 	}
 }
 
@@ -119,21 +123,24 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
+// Decode must refuse other format versions with the version error, not a
+// decode failure — including version 1, whose images had separate
+// session and SoC kinds.
 func TestDecodeRejectsWrongVersion(t *testing.T) {
 	full, err := testImage().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte(nil), full...)
-	bad[4] ^= 0x01 // version low byte
-	// Re-seal with a valid checksum so the version check, not the CRC,
-	// is what trips.
-	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("Decode accepted wrong format version")
-	}
-	if !strings.Contains(Decode2Err(bad), "version") {
-		t.Fatalf("want version error, got %q", Decode2Err(bad))
+	for _, v := range []uint16{1, Version + 1} {
+		bad := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint16(bad[4:6], v)
+		// Re-seal with a valid checksum so the version check, not the CRC,
+		// is what trips.
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
+		want := fmt.Sprintf("unsupported format version %d (want %d)", v, Version)
+		if got := Decode2Err(bad); !strings.Contains(got, want) {
+			t.Fatalf("version %d: got %q, want %q", v, got, want)
+		}
 	}
 }
 

@@ -222,6 +222,10 @@ func (c *Config) ResolvePreset() (kernels.Preset, error) {
 }
 
 // errPath builds a field-path validation error.
+// SPMArenaBytes is the size of the scratchpad arena every SoC reserves
+// above DRAM; all SPMs of a topology are carved from it, 64-byte aligned.
+const SPMArenaBytes = 8 << 20
+
 func errPath(path, format string, args ...any) error {
 	return fmt.Errorf("config: %s: %s", path, fmt.Sprintf(format, args...))
 }
@@ -379,6 +383,20 @@ func (s *SoCCfg) validate(path string) error {
 		}
 	}
 
+	// Scratchpads are carved from the arena in construction order: named
+	// SPMs, cluster SPMs, then private accelerator SPMs (0 = none).
+	var carved uint64
+	carve := func(path string, n uint64) error {
+		// The remaining arena is a multiple of 64, so n fits exactly when
+		// its aligned size does.
+		if n > SPMArenaBytes-carved {
+			return errPath(path, "%d bytes overflow the %d MiB SPM arena (%d bytes already allocated)",
+				n, SPMArenaBytes>>20, carved)
+		}
+		carved += (n + 63) &^ 63
+		return nil
+	}
+
 	spms := map[string]bool{}
 	for i, m := range s.SPMs {
 		p := fmt.Sprintf("%s.spms[%d]", path, i)
@@ -389,8 +407,11 @@ func (s *SoCCfg) validate(path string) error {
 			return errPath(p+".name", "duplicate SPM %q", m.Name)
 		}
 		spms[m.Name] = true
-		if m.Bytes == 0 || m.Bytes > 8<<20 {
-			return errPath(p+".bytes", "%d out of range [1, 8 MiB] (the SPM arena)", m.Bytes)
+		if m.Bytes == 0 {
+			return errPath(p+".bytes", "must be at least 1")
+		}
+		if err := carve(p+".bytes", m.Bytes); err != nil {
+			return err
 		}
 		if err := checkRange(p+".latency", m.Latency, 1, 1024); err != nil {
 			return err
@@ -413,8 +434,8 @@ func (s *SoCCfg) validate(path string) error {
 			return errPath(p+".name", "duplicate name %q", cl.Name)
 		}
 		clusters[cl.Name] = true
-		if cl.SharedSPMBytes > 8<<20 {
-			return errPath(p+".shared_spm_bytes", "%d exceeds the 8 MiB SPM arena", cl.SharedSPMBytes)
+		if err := carve(p+".shared_spm_bytes", cl.SharedSPMBytes); err != nil {
+			return err
 		}
 		if err := checkRange(p+".spm_latency", cl.SPMLatency, 1, 1024); err != nil {
 			return err
@@ -455,8 +476,8 @@ func (s *SoCCfg) validate(path string) error {
 		if a.SPMBytes > 0 && a.SharedSPM != "" {
 			return errPath(p, "spm_bytes and shared_spm are mutually exclusive")
 		}
-		if a.SPMBytes > 8<<20 {
-			return errPath(p+".spm_bytes", "%d exceeds the 8 MiB SPM arena", a.SPMBytes)
+		if err := carve(p+".spm_bytes", a.SPMBytes); err != nil {
+			return err
 		}
 		switch {
 		case a.SharedSPM == "":

@@ -97,6 +97,12 @@ func TestValidateFieldPaths(t *testing.T) {
 			"spm_bytes and shared_spm are mutually exclusive",
 		},
 		{
+			"spm arena oversubscribed",
+			`{"version": 1, "soc": {"spms": [{"name": "a", "bytes": 8388608}, {"name": "b", "bytes": 8388608}],
+				"accelerators": [{"name": "x", "kernel": "gemm", "shared_spm": "a"}]}}`,
+			"soc.spms[1].bytes: 8388608 bytes overflow the 8 MiB SPM arena",
+		},
+		{
 			"out of range ports",
 			`{"kernel": "gemm", "read_ports": 100000}`,
 			"read_ports: 100000 out of range",

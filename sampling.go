@@ -97,12 +97,12 @@ func (s *Session) runSampled(opts RunOpts, stop func() bool) (*Result, error) {
 		return nil, fmt.Errorf("salam: %s: %w", s.k.Name, err)
 	}
 	res := &Result{
-		Stats: s.stats, Instance: s.inst, Space: s.space,
+		Stats: s.Stats, Instance: s.inst, Space: s.Space,
 		Acc: s.acc, SPM: s.spm, Cache: s.cache,
 		Cycles:      est.Cycles,
-		Ticks:       s.q.Now() + sim.Tick(s.acc.Clk.CyclesToTicks(est.Cycles-s.acc.Cycles)),
-		EventsFired: s.q.Fired(),
-		Power:       s.acc.Power(s.spm, s.q.Now()),
+		Ticks:       s.Q.Now() + sim.Tick(s.acc.Clk.CyclesToTicks(est.Cycles-s.acc.Cycles)),
+		EventsFired: s.Q.Fired(),
+		Power:       s.acc.Power(s.spm, s.Q.Now()),
 		Estimated:   true,
 		SampleError: est.ErrorBound,
 		Sample:      &est,

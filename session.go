@@ -19,8 +19,6 @@ import (
 	"gosalam/internal/hw"
 	"gosalam/internal/mem"
 	"gosalam/internal/sim"
-	"gosalam/internal/timeline"
-	"gosalam/ir"
 	"gosalam/kernels"
 )
 
@@ -63,20 +61,16 @@ func structuralKey(k *kernels.Kernel, opts RunOpts) sessionKey {
 // Session is a reusable single-accelerator system. It is not safe for
 // concurrent use; share sessions across goroutines through a SessionPool.
 type Session struct {
+	registry
+
 	key     sessionKey
 	k       *kernels.Kernel
 	profile *hw.Profile
 
-	q         *sim.EventQueue
-	stats     *sim.Group
-	space     *ir.FlatMem
-	spaceSize int
-	memClk    *sim.ClockDomain
-	comm      *core.CommInterface
-	acc       *core.Accelerator
-	spm       *mem.Scratchpad
-	cache     *mem.Cache
-	dram      *mem.DRAM
+	comm  *core.CommInterface
+	acc   *core.Accelerator
+	spm   *mem.Scratchpad
+	cache *mem.Cache
 
 	runs   uint64
 	broken bool
@@ -107,35 +101,37 @@ func NewSession(k *kernels.Kernel, opts RunOpts) (*Session, error) {
 	}
 
 	s := &Session{
-		key:     structuralKey(k, opts),
-		k:       k,
-		profile: profile,
+		registry: newRegistry("system", spaceSizeFor(k, opts.Seed)),
+		key:      structuralKey(k, opts),
+		k:        k,
+		profile:  profile,
 	}
-	s.q = sim.NewEventQueue()
-	s.stats = sim.NewGroup("system")
-	s.spaceSize = spaceSizeFor(k, opts.Seed)
-	s.space = ir.NewFlatMem(0, s.spaceSize)
-	s.memClk = sim.NewClockDomainMHz("memclk", opts.Accel.ClockMHz)
-	s.comm = core.NewCommInterface(k.Name+".comm", s.q, s.memClk, 0xF0000000, len(k.F.Params), s.stats)
-
+	space := mem.AddrRange{Base: 0, Size: uint64(len(s.Space.Data))}
+	memClk := sim.NewClockDomainMHz("memclk", opts.Accel.ClockMHz)
+	s.comm = core.NewCommInterface(k.Name+".comm", s.Q, memClk, 0xF0000000, len(k.F.Params), s.Stats)
+	var dram *mem.DRAM
 	switch opts.Mem {
 	case MemSPM:
-		s.spm = mem.NewScratchpad(k.Name+".spm", s.q, s.memClk, s.space,
-			mem.AddrRange{Base: 0, Size: uint64(s.spaceSize)},
-			opts.SPMLatency, opts.SPMBanks, opts.SPMPortsPer, s.stats)
+		s.spm = mem.NewScratchpad(k.Name+".spm", s.Q, memClk, s.Space, space,
+			opts.SPMLatency, opts.SPMBanks, opts.SPMPortsPer, s.Stats)
 		s.comm.AttachLocal(s.spm)
 	case MemCache:
-		s.dram = mem.NewDRAM(k.Name+".dram", s.q, s.memClk, s.space,
-			mem.AddrRange{Base: 0, Size: uint64(s.spaceSize)}, s.stats)
-		s.cache = mem.NewCache(k.Name+".l1", s.q, s.memClk, s.space,
-			mem.AddrRange{Base: 0, Size: uint64(s.spaceSize)}, s.dram,
-			opts.CacheBytes, opts.CacheLine, opts.CacheAssoc, 2, opts.CacheMSHRs, s.stats)
+		dram = mem.NewDRAM(k.Name+".dram", s.Q, memClk, s.Space, space, s.Stats)
+		s.cache = mem.NewCache(k.Name+".l1", s.Q, memClk, s.Space, space, dram,
+			opts.CacheBytes, opts.CacheLine, opts.CacheAssoc, 2, opts.CacheMSHRs, s.Stats)
 		s.comm.AttachGlobal(s.cache)
 	default:
 		return nil, fmt.Errorf("salam: unknown memory kind %d", opts.Mem)
 	}
+	s.acc = core.NewAccelerator(k.Name, s.Q, mustCDFG(k, profile, opts.Accel.FULimits), opts.Accel, s.comm, s.Stats)
 
-	s.acc = core.NewAccelerator(k.Name, s.q, mustCDFG(k, profile, opts.Accel.FULimits), opts.Accel, s.comm, s.stats)
+	s.add(accelComponent(k.Name, s.acc, s.comm, s.comm.Reset))
+	if s.spm != nil {
+		s.add(spmComponent(k.Name+".spm", s.spm))
+	} else {
+		s.add(cacheComponent(k.Name+".l1", s.cache))
+		s.add(dramComponent(k.Name+".dram", dram))
+	}
 	return s, nil
 }
 
@@ -209,19 +205,7 @@ func (s *Session) begin(opts RunOpts) error {
 
 	if s.runs > 0 {
 		// Warm start: rewind all dynamic state to the cold zero state.
-		s.q.Reset()
-		s.stats.Reset()
-		s.space.Reset()
-		s.comm.Reset()
-		if s.spm != nil {
-			s.spm.Reset()
-		}
-		if s.cache != nil {
-			s.cache.Reset()
-		}
-		if s.dram != nil {
-			s.dram.Reset()
-		}
+		s.reset()
 	}
 	s.runs++
 	if s.testHookReconfigure != nil {
@@ -252,10 +236,10 @@ func (s *Session) begin(opts RunOpts) error {
 	// Attach (or detach, when nil) the timeline recorder per run:
 	// Reconfigure rebuilds FU lanes, so attachment must follow it, and a
 	// pooled session must not leak one job's recorder into the next.
-	s.attachTimeline(opts.Timeline)
+	s.setTimeline(opts.Timeline)
 
-	s.inst = s.k.Setup(s.space, opts.Seed)
-	s.fp = fingerprintFor(s.k, opts, s.spaceSize)
+	s.inst = s.k.Setup(s.Space, opts.Seed)
+	s.fp = fingerprintFor(s.k, opts, len(s.Space.Data))
 	s.runDone = false
 	s.acc.OnDone = func() { s.runDone = true }
 	return nil
@@ -265,26 +249,26 @@ func (s *Session) begin(opts RunOpts) error {
 // to kernel completion, drains trailing events, verifies the output, and
 // assembles the Result.
 func (s *Session) finish(opts RunOpts, stop func() bool) (*Result, error) {
-	res := &Result{Stats: s.stats, Instance: s.inst, Space: s.space, Acc: s.acc, SPM: s.spm, Cache: s.cache}
+	res := &Result{Stats: s.Stats, Instance: s.inst, Space: s.Space, Acc: s.acc, SPM: s.spm, Cache: s.cache}
 
-	s.q.RunWhile(func() bool { return !s.runDone && (stop == nil || !stop()) })
+	s.Q.RunWhile(func() bool { return !s.runDone && (stop == nil || !stop()) })
 	if !s.runDone {
 		if stop != nil && stop() {
 			return nil, fmt.Errorf("salam: %s canceled", s.k.Name)
 		}
 		return nil, fmt.Errorf("salam: %s did not finish (deadlock?)", s.k.Name)
 	}
-	s.q.Run() // drain trailing events (writebacks etc.)
+	s.Q.Run() // drain trailing events (writebacks etc.)
 
 	if !opts.SkipCheck {
-		if err := s.inst.Check(s.space); err != nil {
+		if err := s.inst.Check(s.Space); err != nil {
 			return nil, fmt.Errorf("salam: %s output mismatch: %w", s.k.Name, err)
 		}
 	}
 	s.broken = false
 	res.Cycles = s.acc.LastKernelCycles()
-	res.Ticks = s.q.Now()
-	res.EventsFired = s.q.Fired()
+	res.Ticks = s.Q.Now()
+	res.EventsFired = s.Q.Fired()
 	res.Power = s.acc.Power(res.SPM, res.Ticks)
 	return res, nil
 }
@@ -293,7 +277,7 @@ func (s *Session) finish(opts RunOpts, stop func() bool) (*Result, error) {
 // the kernel completes, stopping at an event boundary. It reports whether
 // the kernel completed.
 func (s *Session) runUntil(pred func() bool) bool {
-	s.q.RunWhile(func() bool { return !s.runDone && !pred() })
+	s.Q.RunWhile(func() bool { return !s.runDone && !pred() })
 	return s.runDone
 }
 
@@ -319,23 +303,6 @@ func (s *Session) Resume(opts RunOpts) (*Result, error) {
 		return nil, fmt.Errorf("salam: session for %s has no run in progress to resume", s.k.Name)
 	}
 	return s.finish(opts, nil)
-}
-
-// attachTimeline binds rec to every traced component of the session's
-// system. A nil rec detaches all lanes, restoring the untraced (and
-// allocation-free) hot paths.
-func (s *Session) attachTimeline(rec timeline.Recorder) {
-	s.q.AttachTimeline(rec)
-	s.acc.AttachTimeline(rec)
-	if s.spm != nil {
-		s.spm.AttachTimeline(rec)
-	}
-	if s.cache != nil {
-		s.cache.AttachTimeline(rec)
-	}
-	if s.dram != nil {
-		s.dram.AttachTimeline(rec)
-	}
 }
 
 // SessionPool keeps idle Sessions keyed by structural configuration so

@@ -289,6 +289,37 @@ func TestSoCQuiescentCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSoCRestoreThenRun: a quiescent SoC checkpoint restored into a
+// freshly built SoC must replay the next driver program exactly as the
+// original system does when it simply keeps running — same fingerprint,
+// same statistics. Every component with state that outlives a program (a
+// warm LLC above all) has to be captured for this to hold.
+func TestSoCRestoreThenRun(t *testing.T) {
+	for _, topo := range socTopologies {
+		t.Run(topo.name, func(t *testing.T) {
+			soc, run := topo.build(t)
+			run()
+			img, err := soc.Checkpoint()
+			if err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			straight := run()
+			straightStats := statsOf(soc)
+
+			fresh, freshRun := topo.build(t)
+			if err := fresh.Restore(img); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if got := freshRun(); got != straight {
+				t.Fatalf("restored run fingerprint = %v, straight run = %v", got, straight)
+			}
+			if s := statsOf(fresh); s != straightStats {
+				t.Fatalf("restored stats diverged from straight run:\nrestored:\n%s\nstraight:\n%s", s, straightStats)
+			}
+		})
+	}
+}
+
 // TestSessionPoolDropsPanicPoisonedSession is the satellite regression for
 // dirty-session poisoning: a panic raised while begin is rewriting session
 // state (between the warm rewind and Reconfigure) must leave the session

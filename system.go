@@ -8,7 +8,7 @@ import (
 	"gosalam/internal/hw"
 	"gosalam/internal/mem"
 	"gosalam/internal/sim"
-	"gosalam/internal/snapshot"
+	"gosalam/internal/soccfg"
 	"gosalam/internal/timeline"
 	"gosalam/ir"
 )
@@ -48,9 +48,7 @@ func StartDMA(mmrBase uint64, src, dst, n uint64, burst int, irqEnable bool) []D
 // links — the Fig. 1 architecture. Components allocate MMR ranges and
 // interrupt lines automatically.
 type SoC struct {
-	Q     *sim.EventQueue
-	Space *ir.FlatMem
-	Stats *sim.Group
+	registry
 
 	SysClk *sim.ClockDomain
 	AccClk float64 // accelerator clock MHz default
@@ -66,33 +64,9 @@ type SoC struct {
 	nextIRQ int
 	nextWin uint64
 
-	// tl is the attached timeline recorder (nil = tracing off); attachers
-	// rebind every component when it changes, so SetTimeline works whether
-	// it is called before or after components are added.
-	tl        timeline.Recorder
-	attachers []func(timeline.Recorder)
-	// resetters rewind per-component dynamic state for SoC.Reset, in
-	// registration order (deterministic). Structural wiring is not undone.
-	resetters []func()
-	// bufs tracks stream buffers already adopted (reset + timeline), so a
-	// buffer shared between a link and a DMA registers once.
+	// bufs tracks stream buffers already registered, so a buffer shared
+	// between a link and a DMA registers once.
 	bufs []*mem.StreamBuffer
-	// snaps lists components with snapshot support, in registration order;
-	// SoC.Checkpoint captures them and SoC.Restore replays them.
-	snaps []socSnap
-}
-
-// socSnap is one snapshot-registered component of an SoC.
-type socSnap struct {
-	name    string
-	capture func() (snapshot.Component, error)
-	restore func(*snapshot.Component) error
-}
-
-// adoptSnap registers a component's checkpoint/restore pair. Registration
-// order is part of the image topology key.
-func (s *SoC) adoptSnap(name string, capture func() (snapshot.Component, error), restore func(*snapshot.Component) error) {
-	s.snaps = append(s.snaps, socSnap{name: name, capture: capture, restore: restore})
 }
 
 // AccelNode bundles one accelerator with its system plumbing.
@@ -104,24 +78,21 @@ type AccelNode struct {
 	IRQLine int
 }
 
-// NewSoC builds a system with dramMB of DRAM plus an 8 MB scratchpad
-// arena, a 1.2 GHz host, and a 1 GHz system interconnect.
+// NewSoC builds a system with dramMB of DRAM plus the scratchpad arena
+// (soccfg.SPMArenaBytes), a 1.2 GHz host, and a 1 GHz system interconnect.
 func NewSoC(dramMB int) *SoC { return NewSoCXbar(dramMB, 8) }
 
 // NewSoCXbar is NewSoC with an explicit global-crossbar width
 // (requests per cycle); declarative configs route through this.
 func NewSoCXbar(dramMB, xbarWidth int) *SoC {
 	dramBytes := uint64(dramMB) << 20
-	spmArena := uint64(8) << 20
 	s := &SoC{
-		Q:      sim.NewEventQueue(),
-		Stats:  sim.NewGroup("soc"),
-		SysClk: sim.NewClockDomainMHz("sys", 1000),
-		AccClk: 100,
+		registry: newRegistry("soc", int(dramBytes+soccfg.SPMArenaBytes)),
+		SysClk:   sim.NewClockDomainMHz("sys", 1000),
+		AccClk:   100,
 	}
-	s.Space = ir.NewFlatMem(0, int(dramBytes+spmArena))
 	s.nextSPM = dramBytes
-	s.spmEnd = dramBytes + spmArena
+	s.spmEnd = dramBytes + soccfg.SPMArenaBytes
 	s.nextMMR = 0xF0000000
 	s.nextWin = 0xE0000000
 
@@ -135,53 +106,24 @@ func NewSoCXbar(dramMB, xbarWidth int) *SoC {
 	s.GIC = cpu.NewGIC(s.Stats)
 	hostClk := sim.NewClockDomainMHz("host", 1200)
 	s.Host = cpu.NewHost("host", s.Q, hostClk, s.Xbar, s.GIC, s.Stats)
-	s.adopt(s.Xbar.Reset, s.Xbar.AttachTimeline)
-	s.adopt(s.DRAM.Reset, s.DRAM.AttachTimeline)
-	s.adoptSnap("dram",
-		func() (snapshot.Component, error) {
-			st, err := s.DRAM.CaptureState()
-			if err != nil {
-				return snapshot.Component{}, err
-			}
-			return snapshot.Component{Name: "dram", DRAM: &st}, nil
-		},
-		func(c *snapshot.Component) error {
-			if c.DRAM == nil {
-				return fmt.Errorf("component carries no DRAM state")
-			}
-			return s.DRAM.RestoreState(*c.DRAM, rejectInflight)
-		})
-	s.adopt(s.GIC.Reset, nil)
-	s.adopt(s.Host.Reset, nil)
-	s.adopt(nil, s.Q.AttachTimeline)
+	s.add(component{name: "xbar", reset: s.Xbar.Reset, attach: s.Xbar.AttachTimeline})
+	s.add(dramComponent("dram", s.DRAM))
+	s.add(component{name: "gic", reset: s.GIC.Reset})
+	s.add(component{name: "host", reset: s.Host.Reset})
 	return s
 }
 
-// adopt registers a component's per-run reset and timeline hook; either
-// may be nil. The attacher fires immediately when a recorder is already
-// set, so Add* order relative to SetTimeline does not matter.
-func (s *SoC) adopt(reset func(), attach func(timeline.Recorder)) {
-	if reset != nil {
-		s.resetters = append(s.resetters, reset)
-	}
-	if attach != nil {
-		s.attachers = append(s.attachers, attach)
-		if s.tl != nil {
-			attach(s.tl)
-		}
-	}
-}
-
-// adoptBuffer registers a stream buffer once, even when it is shared
+// addBuffer registers a stream buffer once, even when it is shared
 // between a StreamLink and a stream DMA.
-func (s *SoC) adoptBuffer(buf *mem.StreamBuffer) {
+func (s *SoC) addBuffer(name string, buf *mem.StreamBuffer) {
 	for _, b := range s.bufs {
 		if b == buf {
 			return
 		}
 	}
 	s.bufs = append(s.bufs, buf)
-	s.adopt(buf.Reset, func(rec timeline.Recorder) { buf.AttachTimeline(rec, s.Q) })
+	s.add(component{name: name, reset: buf.Reset,
+		attach: func(rec timeline.Recorder) { buf.AttachTimeline(rec, s.Q) }})
 }
 
 // SetTimeline attaches a timeline recorder to every component of the SoC
@@ -191,12 +133,7 @@ func (s *SoC) adoptBuffer(buf *mem.StreamBuffer) {
 // byte-identical with it on or off. Attach a fresh recorder per run; lane
 // registration is cumulative, so reusing one across SoC.Reset appends a
 // second run to the same trace.
-func (s *SoC) SetTimeline(rec timeline.Recorder) {
-	s.tl = rec
-	for _, attach := range s.attachers {
-		attach(rec)
-	}
-}
+func (s *SoC) SetTimeline(rec timeline.Recorder) { s.setTimeline(rec) }
 
 // Reset rewinds the SoC for a warm-started run: the event queue, stats,
 // backing store, and every registered component return to their cold
@@ -204,14 +141,7 @@ func (s *SoC) SetTimeline(rec timeline.Recorder) {
 // survives. Accelerators are re-armed through Reconfigure with the
 // configuration they were added with. After Reset the system replays a
 // driver program byte-identically to a freshly built SoC.
-func (s *SoC) Reset() {
-	s.Q.Reset()
-	s.Stats.Reset()
-	s.Space.Reset()
-	for _, fn := range s.resetters {
-		fn()
-	}
-}
+func (s *SoC) Reset() { s.reset() }
 
 // AllocSPMRange carves an address range from the scratchpad arena.
 func (s *SoC) AllocSPMRange(bytes uint64) mem.AddrRange {
@@ -230,21 +160,7 @@ func (s *SoC) AddSPM(name string, bytes uint64, latency, banks, ports int) *mem.
 	spm := mem.NewScratchpad(name, s.Q, accClk, s.Space,
 		s.AllocSPMRange(bytes), latency, banks, ports, s.Stats)
 	s.Xbar.Attach(spm)
-	s.adopt(spm.Reset, spm.AttachTimeline)
-	s.adoptSnap(name,
-		func() (snapshot.Component, error) {
-			st, err := spm.CaptureState()
-			if err != nil {
-				return snapshot.Component{}, err
-			}
-			return snapshot.Component{Name: name, SPM: &st}, nil
-		},
-		func(c *snapshot.Component) error {
-			if c.SPM == nil {
-				return fmt.Errorf("component carries no scratchpad state")
-			}
-			return spm.RestoreState(*c.SPM, rejectInflight)
-		})
+	s.add(spmComponent(name, spm))
 	return spm
 }
 
@@ -259,7 +175,7 @@ func (s *SoC) AddBlockDMA(name string) (*mem.BlockDMA, int) {
 	s.Xbar.Attach(dma.MMR)
 	line := s.allocIRQ()
 	dma.IRQ = s.GIC.Line(line)
-	s.adopt(dma.Reset, dma.AttachTimeline)
+	s.add(dmaComponent(name, dma))
 	return dma, line
 }
 
@@ -268,8 +184,8 @@ func (s *SoC) AddStreamDMA(name string, buf *mem.StreamBuffer) (*mem.StreamDMA, 
 	sd := mem.NewStreamDMA(name, s.Q, s.SysClk, s.Xbar, buf, s.Stats)
 	line := s.allocIRQ()
 	sd.IRQ = s.GIC.Line(line)
-	s.adopt(sd.Reset, sd.AttachTimeline)
-	s.adoptBuffer(buf)
+	s.add(component{name: name, reset: sd.Reset, attach: sd.AttachTimeline})
+	s.addBuffer(name+".buf", buf)
 	return sd, line
 }
 
@@ -335,28 +251,10 @@ func (s *SoC) AddAccel(name string, f *ir.Function, o AccelOpts) (*AccelNode, er
 	// Reconfigure rewinds all engine state against the same shared CDFG
 	// (the timeline attachment survives it — same CDFG, same FU lanes).
 	cfg := o.Cfg
-	s.adopt(func() {
+	s.add(accelComponent(name, node.Acc, comm, func() {
 		comm.Reset()
 		node.Acc.Reconfigure(g, cfg)
-	}, node.Acc.AttachTimeline)
-	s.adoptSnap(name,
-		func() (snapshot.Component, error) {
-			ast, err := node.Acc.CaptureState()
-			if err != nil {
-				return snapshot.Component{}, err
-			}
-			cst := comm.CaptureState()
-			return snapshot.Component{Name: name, Accel: &ast, Comm: &cst}, nil
-		},
-		func(c *snapshot.Component) error {
-			if c.Accel == nil || c.Comm == nil {
-				return fmt.Errorf("component carries no engine state")
-			}
-			if err := node.Acc.RestoreState(*c.Accel); err != nil {
-				return err
-			}
-			return comm.RestoreState(*c.Comm)
-		})
+	}))
 	return node, nil
 }
 
@@ -366,7 +264,7 @@ func (s *SoC) AddAccel(name string, f *ir.Function, o AccelOpts) (*AccelNode, er
 // pointers.
 func (s *SoC) StreamLink(name string, producer, consumer *AccelNode, bufBytes int) (outWin, inWin uint64) {
 	buf := mem.NewStreamBuffer(name, bufBytes, s.Stats)
-	s.adoptBuffer(buf)
+	s.addBuffer(name, buf)
 	out := mem.AddrRange{Base: s.nextWin, Size: 1 << 20}
 	s.nextWin += 1 << 20
 	in := mem.AddrRange{Base: s.nextWin, Size: 1 << 20}

@@ -3,8 +3,8 @@ package salam_test
 // Tests for the timeline tracing subsystem's public surfaces: trace_event
 // JSON structure of a real kernel trace, the stall-attribution invariant
 // (breakdown classes sum to the kernel's cycle count), and full-SoC
-// warm-start reuse through SoC.Reset on a streaming (Fig. 16c-style)
-// topology.
+// warm-start reuse through SoC.Reset on streaming (Fig. 16c-style),
+// cluster and LLC topologies.
 
 import (
 	"bytes"
@@ -236,38 +236,145 @@ func streamSoC(t *testing.T) (*salam.SoC, func() [3]uint64) {
 	return soc, run
 }
 
-// TestSoCWarmStartStreaming is the satellite-2 regression: a full
-// streaming SoC — stream buffers, stream windows, block DMA, crossbar,
-// GIC, host — must replay a driver program after SoC.Reset with a
-// byte-identical schedule and statistics to a freshly built system. Any
-// component whose Reset contract is incomplete (stale FIFO bytes, a
-// latched DMA busy bit, queued crossbar requests, pending GIC lines)
-// shifts the fingerprint.
+// clusterSoC builds the cluster of TestClusterSharedSPMAndDMA — a ReLU
+// accelerator on a cluster-shared SPM, fed and drained by the cluster DMA
+// over the cluster's local crossbar — with the same run contract as
+// streamSoC.
+func clusterSoC(t *testing.T) (*salam.SoC, func() [3]uint64) {
+	t.Helper()
+	soc := salam.NewSoC(16)
+	cl := soc.NewCluster("cl0", salam.ClusterOpts{SharedSPMBytes: 64 << 10})
+	k := kernels.ReLU(64)
+	node, err := cl.AddAccel("relu", salam.AccelBuild{F: k.F, Opts: salam.AccelOpts{SharedSPM: cl.SharedSPM}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = float64(i%9) - 4
+	}
+	want := kernels.ReLUGolden(vals)
+
+	run := func() [3]uint64 {
+		for i, v := range vals {
+			soc.Space.WriteF64(0x1000+uint64(i*8), v)
+		}
+		spmIn := cl.SharedSPM.Range().Base
+		spmOut := spmIn + 512
+		dmaBase := cl.DMA.MMR.Range().Base
+		var tEnd sim.Tick
+		var prog []salam.DriverOp
+		prog = append(prog, salam.StartDMA(dmaBase, 0x1000, spmIn, 512, 128, true)...)
+		prog = append(prog, salam.WaitIRQ{Line: cl.DMAIRQ})
+		prog = append(prog, salam.StartAccel(node.MMRBase, []uint64{spmIn, spmOut}, true)...)
+		prog = append(prog, salam.WaitIRQ{Line: node.IRQLine})
+		prog = append(prog, salam.StartDMA(dmaBase, spmOut, 0x2000, 512, 128, true)...)
+		prog = append(prog, salam.WaitIRQ{Line: cl.DMAIRQ})
+		prog = append(prog, salam.Stamp(soc, &tEnd))
+		if _, err := soc.RunHost(prog); err != nil {
+			t.Fatal(err)
+		}
+		soc.Run()
+		for i, w := range want {
+			if got := soc.Space.ReadF64(0x2000 + uint64(i*8)); got != w {
+				t.Fatalf("out[%d] = %g, want %g", i, got, w)
+			}
+		}
+		return [3]uint64{uint64(tEnd), uint64(soc.Q.Now()), soc.Q.Fired()}
+	}
+	return soc, run
+}
+
+// llcSoC builds the reread SoC of TestLLCReducesDRAMTraffic — one
+// accelerator summing the same DRAM-resident array eight times through a
+// shared LLC — with the same run contract as streamSoC.
+func llcSoC(t *testing.T) (*salam.SoC, func() [3]uint64) {
+	t.Helper()
+	soc := salam.NewSoC(16)
+	soc.EnableLLC(64<<10, 64, 4)
+	b := ir.NewBuilder(ir.NewModule("r"))
+	f := b.Func("reread", ir.F64, ir.P("a", ir.Ptr(ir.F64)))
+	sum := b.LoopCarried("rep", ir.I64c(0), ir.I64c(8), 1, []ir.Value{ir.F64c(0)},
+		func(_ ir.Value, cr []ir.Value) []ir.Value {
+			inner := b.LoopCarried("i", ir.I64c(0), ir.I64c(64), 1, []ir.Value{cr[0]},
+				func(iv ir.Value, ci []ir.Value) []ir.Value {
+					v := b.Load(b.GEP(f.Params[0], "p", iv), "v")
+					return []ir.Value{b.FAdd(ci[0], v, "s")}
+				})
+			return []ir.Value{inner[0]}
+		})
+	b.Ret(sum[0])
+	node, err := soc.AddAccel("acc", f, salam.AccelOpts{Global: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func() [3]uint64 {
+		for i := 0; i < 64; i++ {
+			soc.Space.WriteF64(0x1000+uint64(i*8), 1)
+		}
+		var tEnd sim.Tick
+		prog := append(salam.StartAccel(node.MMRBase, []uint64{0x1000}, true),
+			salam.WaitIRQ{Line: node.IRQLine}, salam.Stamp(soc, &tEnd))
+		if _, err := soc.RunHost(prog); err != nil {
+			t.Fatal(err)
+		}
+		soc.Run()
+		if got := ir.FloatFromBits(ir.F64, node.Acc.RetBits()); got != 512 {
+			t.Fatalf("sum = %g, want 512", got)
+		}
+		return [3]uint64{uint64(tEnd), uint64(soc.Q.Now()), soc.Q.Fired()}
+	}
+	return soc, run
+}
+
+// socTopologies are the SoC shapes the warm-start and restore gates run
+// over: every component each one registers must honor the registry's
+// reset and snapshot contracts.
+var socTopologies = []struct {
+	name  string
+	build func(*testing.T) (*salam.SoC, func() [3]uint64)
+}{
+	{"stream", streamSoC},
+	{"cluster", clusterSoC},
+	{"llc", llcSoC},
+}
+
+// statsOf renders an SoC's full statistics tree.
+func statsOf(s *salam.SoC) string {
+	var sb strings.Builder
+	s.Stats.Dump(&sb)
+	return sb.String()
+}
+
+// TestSoCWarmStartStreaming: a full SoC — stream buffers and windows,
+// block and cluster DMAs, local and global crossbars, an LLC, GIC, host —
+// must replay a driver program after SoC.Reset with a byte-identical
+// schedule and statistics to a freshly built system. Any component whose
+// Reset contract is incomplete or never registered (stale FIFO bytes, a
+// latched DMA busy bit, queued crossbar requests, pending GIC lines, warm
+// LLC lines) shifts the fingerprint.
 func TestSoCWarmStartStreaming(t *testing.T) {
-	dump := func(s *salam.SoC) string {
-		var sb strings.Builder
-		s.Stats.Dump(&sb)
-		return sb.String()
-	}
+	for _, topo := range socTopologies {
+		t.Run(topo.name, func(t *testing.T) {
+			coldSoC, coldRun := topo.build(t)
+			cold := coldRun()
+			coldStats := statsOf(coldSoC)
 
-	coldSoC, coldRun := streamSoC(t)
-	cold := coldRun()
-	coldStats := dump(coldSoC)
-
-	warmSoC, warmRun := streamSoC(t)
-	first := warmRun()
-	if first != cold {
-		t.Fatalf("two fresh SoCs diverged: %v vs %v", first, cold)
-	}
-	for i := 0; i < 2; i++ {
-		warmSoC.Reset()
-		got := warmRun()
-		if got != cold {
-			t.Fatalf("warm run %d fingerprint = %v, cold = %v", i+1, got, cold)
-		}
-		if s := dump(warmSoC); s != coldStats {
-			t.Fatalf("warm run %d stats dump diverged from cold run:\nwarm:\n%s\ncold:\n%s", i+1, s, coldStats)
-		}
+			warmSoC, warmRun := topo.build(t)
+			if first := warmRun(); first != cold {
+				t.Fatalf("two fresh SoCs diverged: %v vs %v", first, cold)
+			}
+			for i := 0; i < 2; i++ {
+				warmSoC.Reset()
+				if got := warmRun(); got != cold {
+					t.Fatalf("warm run %d fingerprint = %v, cold = %v", i+1, got, cold)
+				}
+				if s := statsOf(warmSoC); s != coldStats {
+					t.Fatalf("warm run %d stats dump diverged from cold run:\nwarm:\n%s\ncold:\n%s", i+1, s, coldStats)
+				}
+			}
+		})
 	}
 }
 
