@@ -60,12 +60,14 @@ race:
 golden:
 	$(GO) test -run TestGoldenDeterminism -count=1 .
 
-# Timeline smoke: the CLI path writes a gemm Perfetto trace end to end, and
-# the decoding test re-validates the trace_event JSON structure plus the
-# observer-effect guarantee (traced golden bytes == committed golden bytes).
+# Timeline smoke: the CLI path writes a gemm Perfetto trace and a per-cycle
+# CSV profile end to end, and the decoding test re-validates the
+# trace_event JSON structure plus the observer-effect guarantee (traced
+# golden bytes == committed golden bytes).
 trace-smoke:
 	$(GO) run ./cmd/salam-sim -config configs/gemm_spm.json \
 		-timeline /tmp/gosalam-trace-smoke.json -timeline-breakdown > /dev/null
+	$(GO) run ./cmd/salam-sim -config configs/gemm_spm.json -profile /tmp/gosalam-profile-smoke.csv > /dev/null
 	$(GO) test -run 'TestTimelineTrace|TestGoldenTracedObserverEffect' -count=1 .
 
 # salam-serve smoke: two in-process shards over real HTTP split the

@@ -9,7 +9,7 @@
 // per-job progress on stderr. Output order and bytes are identical to the
 // serial sweep regardless of worker count. Workers reuse warm-started
 // pooled systems that share one immutable CDFG per configuration (the
-// elaboration cache); -cold rebuilds a fresh system per point instead.
+// elaboration cache).
 //
 // The flags build a campaign.Space — the same spec a salam-serve
 // submission carries — so the CLI and the service enumerate identical job
@@ -129,7 +129,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-simulation timeout (0 = none)")
 	quiet := flag.Bool("quiet", false, "suppress per-job progress lines on stderr")
 	dumpStats := flag.Bool("stats", false, "dump campaign counters to stderr at the end")
-	cold := flag.Bool("cold", false, "build a fresh system per point instead of reusing warm-started pooled sessions")
 	noPrune := flag.Bool("no-prune", false, "simulate every point, even ones the static analyzer proves worse than an already-measured point")
 	traceBest := flag.String("trace-best", "", "after the sweep, re-run the best point with timeline tracing and write the Perfetto trace here")
 	jsonOut := flag.Bool("json", false, "emit the canonical NDJSON row stream instead of CSV")
@@ -210,7 +209,7 @@ func main() {
 		if *remote != "" {
 			os.Exit(runRemoteSearch(*remote, space))
 		}
-		os.Exit(runSearch(space, *jobs, *cacheDir, *cold, *noProxy, *dumpStats))
+		os.Exit(runSearch(space, *jobs, *cacheDir, *noProxy, *dumpStats))
 	}
 
 	// Build enumerates points and jobs in the canonical sweep order and
@@ -229,7 +228,6 @@ func main() {
 		Workers:   *jobs,
 		Timeout:   *timeout,
 		Stats:     sim.NewGroup("dse"),
-		ColdStart: *cold,
 		TraceBest: *traceBest,
 	}
 	if !*noPrune {
@@ -425,7 +423,7 @@ func searchStats(res *search.Result) string {
 
 // runSearch proves the space's Pareto frontier in-process: frontier CSV on
 // stdout, accounting on stderr. Returns the process exit code.
-func runSearch(space campaign.Space, jobs int, cacheDir string, cold, noProxy, dumpStats bool) int {
+func runSearch(space campaign.Space, jobs int, cacheDir string, noProxy, dumpStats bool) int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "search:", err)
 		return 2
@@ -434,10 +432,9 @@ func runSearch(space campaign.Space, jobs int, cacheDir string, cold, noProxy, d
 		return fail(err)
 	}
 	cfg := search.Config{
-		Space:     space,
-		Workers:   jobs,
-		ColdStart: cold,
-		NoProxy:   noProxy,
+		Space:   space,
+		Workers: jobs,
+		NoProxy: noProxy,
 	}
 	if cacheDir != "" {
 		cache, err := campaign.OpenCache(cacheDir)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	salam-sim -config configs/gemm_spm.json [-stats] [-timeline trace.json] [-timeline-breakdown]
+//	salam-sim -config configs/gemm_spm.json [-stats] [-profile cycles.csv] [-timeline trace.json] [-timeline-breakdown]
 //	salam-sim -config cfg.json -checkpoint img.gsnp -checkpoint-cycle 5000
 //	salam-sim -config cfg.json -restore img.gsnp
 //	salam-sim -config cfg.json -sample 3/20
@@ -24,7 +24,7 @@ import (
 func main() {
 	cfgPath := flag.String("config", "", "JSON run configuration")
 	dumpStats := flag.Bool("stats", false, "dump the full statistics tree")
-	profile := flag.String("profile", "", "write a per-cycle profile CSV here")
+	profile := flag.String("profile", "", "write the per-cycle engine profile CSV (cycle, class, busy lanes) here")
 	tracePath := flag.String("timeline", "", "write a Perfetto-loadable trace_event JSON here")
 	breakdown := flag.Bool("timeline-breakdown", false, "print the per-lane cycle-class breakdown (Fig. 10 style)")
 	ckptPath := flag.String("checkpoint", "", "pause mid-run and write a snapshot image here (requires -checkpoint-cycle)")
@@ -63,13 +63,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *profile != "" {
-		opts.ProfileCycles = 1 << 20
+	if *samp != "" {
+		var kk, nn int
+		if _, err := fmt.Sscanf(*samp, "%d/%d", &kk, &nn); err != nil {
+			fmt.Fprintf(os.Stderr, "bad -sample %q: want k/n, e.g. 3/20\n", *samp)
+			os.Exit(2)
+		}
+		opts.Sample = salam.SampleSpec{K: kk, N: nn}
 	}
 	var traceJSON *timeline.JSON
 	var traceBreak *timeline.Breakdown
+	var profCSV *timeline.CSV
+	var profFile *os.File
 	{
 		var recs []timeline.Recorder
+		if *profile != "" {
+			profFile, err = os.Create(*profile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			profCSV = timeline.NewCSV(profFile)
+			recs = append(recs, profCSV)
+		}
 		if *tracePath != "" {
 			traceJSON = timeline.NewJSON()
 			recs = append(recs, traceJSON)
@@ -85,14 +101,6 @@ func main() {
 		default:
 			opts.Timeline = timeline.NewTee(recs...)
 		}
-	}
-	if *samp != "" {
-		var kk, nn int
-		if _, err := fmt.Sscanf(*samp, "%d/%d", &kk, &nn); err != nil {
-			fmt.Fprintf(os.Stderr, "bad -sample %q: want k/n, e.g. 3/20\n", *samp)
-			os.Exit(2)
-		}
-		opts.Sample = salam.SampleSpec{K: kk, N: nn}
 	}
 
 	var res *salam.Result
@@ -128,20 +136,16 @@ func main() {
 		fmt.Println("---- statistics ----")
 		res.Stats.Dump(os.Stdout)
 	}
-	if *profile != "" {
-		f, err := os.Create(*profile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	if profCSV != nil {
+		werr := profCSV.Flush()
+		if cerr := profFile.Close(); werr == nil {
+			werr = cerr
+		}
+		if werr != nil {
+			fmt.Fprintln(os.Stderr, werr)
 			os.Exit(1)
 		}
-		defer f.Close()
-		if err := res.Acc.Profile().WriteCSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		iss, stall, avg := res.Acc.Profile().Summary()
-		fmt.Printf("profile:         %s (%d samples; %d issue cycles, %d stalls, avg queue %.1f)\n",
-			*profile, len(res.Acc.Profile().Samples), iss, stall, avg)
+		fmt.Printf("profile:         %s\n", *profile)
 	}
 	if traceJSON != nil {
 		f, err := os.Create(*tracePath)

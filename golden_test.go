@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,8 +36,8 @@ type goldenPoint struct {
 }
 
 // currentGolden fingerprints every kernel plus the cluster scenario. With
-// traced set, every run carries a live timeline recorder (JSON + breakdown
-// tee); the resulting bytes must be identical either way — that is the
+// traced set, every run carries live timeline recorders (a JSON, breakdown
+// and CSV tee); the resulting bytes must be identical either way — that is the
 // observer-effect guarantee TestGoldenTracedObserverEffect enforces.
 func currentGolden(t *testing.T, traced bool) []byte {
 	t.Helper()
@@ -44,7 +45,7 @@ func currentGolden(t *testing.T, traced bool) []byte {
 	for _, k := range kernels.All(kernels.Small) {
 		opts := salam.DefaultRunOpts()
 		if traced {
-			opts.Timeline = timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown())
+			opts.Timeline = timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown(), timeline.NewCSV(io.Discard))
 		}
 		res, err := salam.RunKernel(k, opts)
 		if err != nil {
@@ -61,7 +62,7 @@ func currentGolden(t *testing.T, traced bool) []byte {
 	for _, k := range llKernels(t) {
 		opts := salam.DefaultRunOpts()
 		if traced {
-			opts.Timeline = timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown())
+			opts.Timeline = timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown(), timeline.NewCSV(io.Discard))
 		}
 		res, err := salam.RunKernel(k, opts)
 		if err != nil {
@@ -103,7 +104,7 @@ func clusterGolden(t *testing.T, traced bool) goldenPoint {
 
 	soc := salam.NewSoC(16)
 	if traced {
-		soc.SetTimeline(timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown()))
+		soc.SetTimeline(timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown(), timeline.NewCSV(io.Discard)))
 	}
 	shared := soc.AddSPM("shared", 64<<10, 2, 4, 4)
 	conv, err := soc.AddAccel("conv", kernels.Conv2D(imgH, imgW).F, salam.AccelOpts{SharedSPM: shared})

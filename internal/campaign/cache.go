@@ -37,7 +37,12 @@ type Store interface {
 // v2: RunOpts grew the Sample field (interval sampling) and Metrics grew
 // Estimated/ErrorBound, so sampled and exact runs of the same point key —
 // and cache — separately.
-const cacheSchema = 2
+//
+// v3: RunOpts lost its per-cycle profiling knob (per-cycle CSVs are now a
+// timeline recorder). That changes the canonical JSON behind every key, so
+// no v2 entry can hit again; the bump makes the invalidation explicit
+// instead of leaving it implicit in the RunOpts layout.
+const cacheSchema = 3
 
 // keyDoc is the canonical content of a cache key. encoding/json writes map
 // keys in sorted order, so marshaling this struct is a canonical encoding:

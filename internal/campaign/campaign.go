@@ -78,13 +78,10 @@ type Outcome struct {
 	Index int
 	// Job echoes the spec that produced this outcome.
 	Job Job
-	// Metrics is non-nil on success (fresh or cached).
+	// Metrics is non-nil on success (fresh or cached). Live simulation
+	// state aliases a pooled system the next job rewinds, so it never
+	// escapes a job: derive what a sweep needs from it through Job.Probe.
 	Metrics *Metrics
-	// Result is the live simulation result; nil on error, on a cache hit,
-	// and under warm-start reuse (the default), where the live result
-	// aliases a pooled system the next job will rewind — consume live
-	// state through Job.Probe, or set Config.ColdStart to keep Results.
-	Result *salam.Result
 	// Err is non-nil when the job failed (simulation error, panic, or
 	// timeout); sibling jobs are unaffected.
 	Err error
@@ -144,16 +141,13 @@ type Config struct {
 	// counters wired into the existing sim stats framework.
 	Stats *sim.Group
 	// Runner overrides the simulation function (nil = warm-start pooled
-	// sessions, or salam.RunKernelCtx when ColdStart is set).
+	// sessions). Tests pass salam.RunKernelCtx here as the cold-start
+	// reference the pooled path must match byte for byte.
 	Runner Runner
-	// ColdStart disables warm-start session reuse for the default runner:
-	// every job builds its system from scratch (the pre-reuse behaviour)
-	// and Outcome.Result stays populated.
-	ColdStart bool
 	// Sessions, when non-nil, is the session pool warm-started jobs draw
 	// from. Share one pool across campaigns to start later sweeps warm;
-	// nil creates a pool scoped to the Run call. Ignored with ColdStart
-	// or a custom Runner.
+	// nil creates a pool scoped to the Run call. Ignored with a custom
+	// Runner.
 	Sessions *salam.SessionPool
 	// TraceBest, when non-empty, re-runs the sweep's best design point —
 	// lowest cycle count among successful outcomes, earliest index on ties
@@ -211,8 +205,8 @@ func (c Config) workers() int {
 // state rewind on the same session).
 type jobRunner func(ctx context.Context, job Job) (res *salam.Result, extra map[string]float64, err error)
 
-// probeAfter runs the probe once the runner returned — correct for cold
-// and custom runners, whose Results alias nothing shared.
+// probeAfter runs the probe once the runner returned — correct for custom
+// runners, whose Results alias nothing shared.
 func probeAfter(run Runner) jobRunner {
 	return func(ctx context.Context, job Job) (*salam.Result, map[string]float64, error) {
 		res, err := run(ctx, job.Kernel, job.Opts)
@@ -227,16 +221,10 @@ func probeAfter(run Runner) jobRunner {
 // warm-start reuse through a session pool: each job runs in a pooled
 // system whose static CDFG comes from the shared elaboration cache and
 // whose dynamic state is rewound between design points. The returned pool
-// is non-nil only when warm start is active (for reuse stats); transient
-// reports whether live Results alias pooled state and must not escape.
-func (c Config) runner() (run jobRunner, pool *salam.SessionPool, transient bool) {
+// is non-nil only on that default path (for reuse stats).
+func (c Config) runner() (run jobRunner, pool *salam.SessionPool) {
 	if c.Runner != nil {
-		return probeAfter(c.Runner), nil, false
-	}
-	if c.ColdStart {
-		return probeAfter(func(ctx context.Context, k *kernels.Kernel, opts salam.RunOpts) (*salam.Result, error) {
-			return salam.RunKernelCtx(ctx, k, opts)
-		}), nil, false
+		return probeAfter(c.Runner), nil
 	}
 	pool = c.Sessions
 	if pool == nil {
@@ -250,7 +238,7 @@ func (c Config) runner() (run jobRunner, pool *salam.SessionPool, transient bool
 			}
 		})
 		return res, extra, err
-	}, pool, true
+	}, pool
 }
 
 // counters is the campaign-level stat group (updated only on the
@@ -325,7 +313,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) []Outcome {
 	if cfg.Progress != nil {
 		cfg.Progress.Start(len(jobs))
 	}
-	run, pool, transient := cfg.runner()
+	run, pool := cfg.runner()
 	var poolReused0, poolCreated0 uint64
 	if pool != nil {
 		poolReused0, poolCreated0 = pool.Stats()
@@ -389,7 +377,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) []Outcome {
 			}
 		}
 		if pilot >= 0 {
-			po := runJob(ctx, cfg, run, transient, pilot, jobs[pilot])
+			po := runJob(ctx, cfg, run, pilot, jobs[pilot])
 			po.StaticLB = lbs[pilot]
 			if !resolved[pilot] {
 				resolved[pilot] = true
@@ -423,7 +411,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) []Outcome {
 		go func() {
 			defer wg.Done()
 			for it := range work {
-				results <- runJob(ctx, cfg, run, transient, it.idx, it.job)
+				results <- runJob(ctx, cfg, run, it.idx, it.job)
 			}
 		}()
 	}
@@ -544,7 +532,7 @@ func traceBest(ctx context.Context, cfg Config, outcomes []Outcome) {
 }
 
 // runJob executes one job with cache lookup, panic recovery, and timeout.
-func runJob(ctx context.Context, cfg Config, run jobRunner, transient bool, idx int, job Job) (out Outcome) {
+func runJob(ctx context.Context, cfg Config, run jobRunner, idx int, job Job) (out Outcome) {
 	start := time.Now()
 	out = Outcome{Index: idx, Job: job}
 	defer func() { out.Wall = time.Since(start) }()
@@ -587,11 +575,6 @@ func runJob(ctx context.Context, cfg Config, run jobRunner, transient bool, idx 
 	}
 	m := &Metrics{Cycles: res.Cycles, Ticks: res.Ticks, Power: res.Power, Extra: extra,
 		Estimated: res.Estimated, ErrorBound: res.SampleError}
-	if !transient {
-		// Warm-started results alias a pooled system another job will
-		// rewind; only snapshots (Metrics, probe extras) may escape.
-		out.Result = res
-	}
 	out.Metrics = m
 	if cfg.Cache != nil {
 		if err := cfg.Cache.Put(key, job, m); err != nil {

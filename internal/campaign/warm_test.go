@@ -55,10 +55,11 @@ func TestSharedCDFGParallelWorkers(t *testing.T) {
 }
 
 // TestWarmMatchesColdCampaign: the warm-start default must emit the same
-// metrics as a cold-start campaign over a mixed sweep.
+// metrics as a cold-start campaign (a fresh system per job through
+// salam.RunKernelCtx) over a mixed sweep.
 func TestWarmMatchesColdCampaign(t *testing.T) {
 	warm := Run(context.Background(), Config{Workers: 4}, sweepJobs(t))
-	cold := Run(context.Background(), Config{Workers: 4, ColdStart: true}, sweepJobs(t))
+	cold := Run(context.Background(), Config{Workers: 4, Runner: salam.RunKernelCtx}, sweepJobs(t))
 	for i := range warm {
 		if warm[i].Err != nil || cold[i].Err != nil {
 			t.Fatalf("job %d: warm err %v, cold err %v", i, warm[i].Err, cold[i].Err)

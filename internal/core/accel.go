@@ -214,11 +214,8 @@ type Accelerator struct {
 	argBits  []uint64
 	// readyCount tracks resQ entries that are waiting with all operands
 	// resolved; ready holds exactly their queue positions, set and cleared
-	// at the same transitions that move the count. readyLow is the
-	// smallest ready position seen by the last issue pass (lowered by
-	// wakes), kept because checkpoints record it.
+	// at the same transitions that move the count.
 	readyCount int
-	readyLow   int
 	ready      bitset
 	// resident counts non-committed resQ entries (the window-check scan
 	// in handleTerminator reduced to a counter).
@@ -240,10 +237,8 @@ type Accelerator struct {
 	// Per-cycle structural-hazard flags: a ready op failed to issue
 	// because of read ports, write ports, FU pools, or memory ordering.
 	hazLoad, hazStore, hazFU, hazOrder bool
-	// profile, when non-nil, receives a per-cycle sample (EnableProfile).
-	profile *CycleProfile
-	// Per-cycle issue counters for the profile.
-	cycLoads, cycStores, cycFP, cycInt, cycOther uint16
+	// Per-cycle memory issue counters for the timeline port lanes.
+	cycLoads, cycStores uint16
 	// rec, when non-nil, receives one stall-attributed Cycle per edge plus
 	// busy slices per FU class and memory port (AttachTimeline). The
 	// recorder only observes; the sole engine state feeding it —
@@ -407,7 +402,7 @@ func (a *Accelerator) Reconfigure(g *CDFG, cfg AccelConfig) {
 	a.resQ = a.resQ[:0]
 	a.pendingMem = a.pendingMem[:0]
 	a.seq, a.inflight = 0, 0
-	a.readyCount, a.readyLow, a.resident = 0, 0, 0
+	a.readyCount, a.resident = 0, 0
 	a.pendLoads, a.pendStores, a.pendComp = 0, 0, 0
 	a.inflLoads, a.inflStores = 0, 0
 	a.arrivals = 0
@@ -416,8 +411,7 @@ func (a *Accelerator) Reconfigure(g *CDFG, cfg AccelConfig) {
 	a.zeroLatProgress = false
 	a.hazLoad, a.hazStore, a.hazFU, a.hazOrder = false, false, false, false
 	a.fetchBlocked = false
-	a.profile = nil
-	a.cycLoads, a.cycStores, a.cycFP, a.cycInt, a.cycOther = 0, 0, 0, 0, 0
+	a.cycLoads, a.cycStores = 0, 0
 	a.finished, a.running, a.retBits = false, false, 0
 	a.cycleStamp, a.fetches, a.startCycle = 0, 0, 0
 	a.ResetClocked()
@@ -448,7 +442,7 @@ func (a *Accelerator) Start(args []uint64) {
 	a.resQ = a.resQ[:0]
 	a.pendingMem = a.pendingMem[:0]
 	a.inflight = 0
-	a.readyCount, a.readyLow, a.resident = 0, 0, 0
+	a.readyCount, a.resident = 0, 0
 	a.pendLoads, a.pendStores, a.pendComp = 0, 0, 0
 	a.inflLoads, a.inflStores = 0, 0
 	a.arrivals = 0
@@ -589,9 +583,6 @@ func (a *Accelerator) fetch(ops []*StaticOp, prev *ir.Block) {
 		if d.waitingOn == 0 {
 			a.readyCount++
 			a.ready.set(d.qi)
-			if int(d.qi) < a.readyLow {
-				a.readyLow = int(d.qi)
-			}
 		}
 		if st.Mem {
 			a.pendingMem = append(a.pendingMem, d)
@@ -644,13 +635,8 @@ func (a *Accelerator) commit(d *dynOp) {
 		w.op.pending[w.idx] = false
 		w.op.waitingOn--
 		if w.op.waitingOn == 0 {
-			// The waiter becomes issuable; it can sit below the current
-			// watermark (wakes land at arbitrary queue positions).
 			a.readyCount++
 			a.ready.set(w.op.qi)
-			if int(w.op.qi) < a.readyLow {
-				a.readyLow = int(w.op.qi)
-			}
 		}
 	}
 	d.waiters = d.waiters[:0]
@@ -922,7 +908,7 @@ func (a *Accelerator) cycle() bool {
 	a.fetches = 0
 	a.hazLoad, a.hazStore, a.hazFU, a.hazOrder = false, false, false, false
 	a.fetchBlocked = false
-	a.cycLoads, a.cycStores, a.cycFP, a.cycInt, a.cycOther = 0, 0, 0, 0, 0
+	a.cycLoads, a.cycStores = 0, 0
 
 	// Commit phase: everything whose result arrived since the last edge,
 	// in queue order. Commits only wake waiters, never add arrivals, so the
@@ -946,11 +932,7 @@ func (a *Accelerator) cycle() bool {
 	issuedFP := false
 	for rescan := true; rescan && a.readyCount > 0; {
 		a.zeroLatProgress = false
-		low := a.ready.next(a.readyLow)
-		if a.readyLow = low; low < 0 {
-			a.readyLow = len(a.resQ)
-		}
-		for qi := low; qi >= 0; qi = a.ready.next(qi + 1) {
+		for qi := a.ready.next(0); qi >= 0; qi = a.ready.next(qi + 1) {
 			d := a.resQ[qi]
 			st := d.st
 			switch {
@@ -982,15 +964,6 @@ func (a *Accelerator) cycle() bool {
 					issued++
 					if st.FP {
 						issuedFP = true
-						a.cycFP++
-					} else {
-						switch st.Class {
-						case hw.FUIntAdder, hw.FUIntMultiplier, hw.FUIntDivider,
-							hw.FUShifter, hw.FUBitwise, hw.FUComparator:
-							a.cycInt++
-						default:
-							a.cycOther++
-						}
 					}
 					a.incIssued(st.Class)
 				}
@@ -1001,13 +974,12 @@ func (a *Accelerator) cycle() bool {
 
 	// Compact committed ops out of the queues: memory list first, then the
 	// reservation queue, where committed ops return to the pool. Surviving
-	// ops get fresh queue indices, and the ready watermark and both
-	// position sets are rebuilt.
+	// ops get fresh queue indices, and both position sets are rebuilt.
 	// Compaction is amortized: committed entries linger until they are at
 	// least a quarter of the queue, because the commit and issue walks
 	// visit only set members, disambiguation skips stDone entries, and all
-	// architectural state — window checks, stall classification,
-	// profiling — reads the resident counter, never the queue length.
+	// architectural state — window checks, stall classification, the
+	// timeline — reads the resident counter, never the queue length.
 	// Deferral therefore changes no simulated behaviour, only when the
 	// O(queue) rewrite is paid.
 	if dead := len(a.resQ) - a.resident; dead > 0 && dead*4 >= len(a.resQ) {
@@ -1031,9 +1003,6 @@ func (a *Accelerator) cycle() bool {
 			a.markSets(d)
 		}
 		a.resQ = kept
-		if a.readyLow = a.ready.next(0); a.readyLow < 0 {
-			a.readyLow = len(kept)
-		}
 	}
 
 	// Cycle-level statistics (Sec. III-C2).
@@ -1047,7 +1016,6 @@ func (a *Accelerator) cycle() bool {
 		}
 		a.resQ = a.resQ[:0]
 		a.pendingMem = a.pendingMem[:0]
-		a.readyLow = 0 // both position sets are already empty
 		a.running = false
 		kc := a.Cycles - a.startCycle
 		a.KernelCycles.Sample(float64(kc))
@@ -1206,36 +1174,6 @@ func (a *Accelerator) recordCycleStats(issued int, issuedFP bool) {
 	}
 	bk.Inc(1)
 
-	if a.profile != nil {
-		var haz uint8
-		if a.hazLoad {
-			haz |= HazLoadPorts
-		}
-		if a.hazStore {
-			haz |= HazStorePorts
-		}
-		if a.hazFU {
-			haz |= HazFUPool
-		}
-		if a.hazOrder {
-			haz |= HazMemOrder
-		}
-		resident := a.resident
-		if resident > 0xffff {
-			resident = 0xffff
-		}
-		a.profile.record(CycleSample{
-			Cycle:    a.Cycles - a.startCycle,
-			Loads:    a.cycLoads,
-			Stores:   a.cycStores,
-			FPOps:    a.cycFP,
-			IntOps:   a.cycInt,
-			Other:    a.cycOther,
-			Resident: uint16(resident),
-			Stalled:  issued == 0 && a.resident > 0,
-			Hazard:   haz,
-		})
-	}
 	if a.rec != nil {
 		a.recordTimeline(issued)
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"gosalam/internal/hw"
 	"gosalam/internal/mem"
+	"gosalam/internal/timeline"
 	"gosalam/ir"
 )
 
@@ -179,44 +182,66 @@ func TestFUOccupancyBounds(t *testing.T) {
 	}
 }
 
-func TestCycleProfile(t *testing.T) {
+// TestCycleCSV: the timeline CSV profile writes one row per active engine
+// cycle, under a header naming the engine's lanes, with per-class row
+// counts equal to a Breakdown tee'd onto the same run; a write error
+// surfaces from Flush.
+func TestCycleCSV(t *testing.T) {
 	f, setup := buildVecAdd(t)
 	r := newRig(t, f, DefaultConfig(), nil)
-	prof := r.acc.EnableProfile(0)
+	var buf bytes.Buffer
+	prof := timeline.NewCSV(&buf)
+	bd := timeline.NewBreakdown()
+	r.acc.AttachTimeline(timeline.NewTee(prof, bd))
 	runToDone(t, r, setup(r.space, 32))
-	if len(prof.Samples) == 0 {
-		t.Fatal("no samples")
-	}
-	if float64(len(prof.Samples)) != r.acc.ActiveCycles.Value() {
-		t.Fatalf("samples %d != active cycles %g", len(prof.Samples), r.acc.ActiveCycles.Value())
-	}
-	// Per-cycle issue counts must total the aggregate counters.
-	var loads, stores int
-	for _, s := range prof.Samples {
-		loads += int(s.Loads)
-		stores += int(s.Stores)
-	}
-	if float64(loads) != r.acc.IssuedByClass.Get("load") ||
-		float64(stores) != r.acc.IssuedByClass.Get("store") {
-		t.Fatalf("profile loads/stores %d/%d disagree with aggregates %g/%g",
-			loads, stores, r.acc.IssuedByClass.Get("load"), r.acc.IssuedByClass.Get("store"))
-	}
-	var sb strings.Builder
-	if err := prof.WriteCSV(&sb); err != nil {
+	if err := prof.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "cycle,loads,stores") {
-		t.Fatal("CSV header missing")
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+
+	header := []string{"cycle", "class", "port.load", "port.store"}
+	for _, c := range hw.AllFUClasses() {
+		if r.acc.fuTotal[c] > 0 {
+			header = append(header, "fu."+c.String())
+		}
 	}
-	iss, _, avg := prof.Summary()
-	if iss == 0 || avg <= 0 {
-		t.Fatalf("summary: issue=%d avg=%g", iss, avg)
+	if got, want := lines[0], strings.Join(header, ","); got != want {
+		t.Fatalf("header = %q, want %q", got, want)
+	}
+	rows := lines[1:]
+	if float64(len(rows)) != r.acc.ActiveCycles.Value() {
+		t.Fatalf("%d rows, %g active cycles", len(rows), r.acc.ActiveCycles.Value())
+	}
+	var perClass [timeline.NumCycleClasses]uint64
+	for _, row := range rows {
+		fields := strings.Split(row, ",")
+		if len(fields) != len(header) {
+			t.Fatalf("row %q has %d fields, header %d", row, len(fields), len(header))
+		}
+		c := 0
+		for c < timeline.NumCycleClasses && timeline.CycleClass(c).String() != fields[1] {
+			c++
+		}
+		if c == timeline.NumCycleClasses {
+			t.Fatalf("row %q: unknown class", row)
+		}
+		perClass[c]++
+	}
+	want, ok := bd.Counts(r.acc.Name(), "engine")
+	if !ok || perClass != want {
+		t.Fatalf("CSV class counts %v, breakdown %v", perClass, want)
 	}
 
-	// Bounded capacity drops samples rather than growing.
-	prof2 := r.acc.EnableProfile(4)
-	runToDone(t, r, setup(r.space, 32))
-	if len(prof2.Samples) != 4 || prof2.Dropped == 0 {
-		t.Fatalf("cap not honored: %d samples, %d dropped", len(prof2.Samples), prof2.Dropped)
+	errBoom := errors.New("disk full")
+	r2 := newRig(t, f, DefaultConfig(), nil)
+	failing := timeline.NewCSV(failWriter{errBoom})
+	r2.acc.AttachTimeline(failing)
+	runToDone(t, r2, setup(r2.space, 32))
+	if err := failing.Flush(); !errors.Is(err, errBoom) {
+		t.Fatalf("Flush = %v, want %v", err, errBoom)
 	}
 }
+
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }

@@ -144,7 +144,7 @@ func TestEngineInterpreterEquivalenceProperty(t *testing.T) {
 // against a brute-force rescan of the reservation queue: a position is
 // ready exactly when its op waits with every operand resolved, arrived
 // exactly when its op is in flight with its completion delivered, and the
-// counters and watermark agree with the sets.
+// counters agree with the sets.
 func checkEngineSets(a *Accelerator) error {
 	if n := a.ready.count(); n != a.readyCount {
 		return fmt.Errorf("popcount(ready) = %d, readyCount = %d", n, a.readyCount)
@@ -166,9 +166,6 @@ func checkEngineSets(a *Accelerator) error {
 		if want := d.state == stWaiting && d.waitingOn == 0; isReady != want {
 			return fmt.Errorf("resQ[%d] (state %d, waitingOn %d): ready bit %v", qi, d.state, d.waitingOn, isReady)
 		}
-		if isReady && qi < a.readyLow {
-			return fmt.Errorf("ready resQ[%d] below watermark %d", qi, a.readyLow)
-		}
 		isArrived := a.arrived.next(qi) == qi
 		if want := d.state == stInflight && d.arrived; isArrived != want {
 			return fmt.Errorf("resQ[%d] (state %d, arrived %v): arrived bit %v", qi, d.state, d.arrived, isArrived)
@@ -179,7 +176,7 @@ func checkEngineSets(a *Accelerator) error {
 
 // checkRestoredSets captures the rig's engine mid-run, restores the image
 // into a fresh engine over the same kernel and configuration, and requires
-// the rebuilt position sets and watermark to equal the live ones.
+// the rebuilt position sets to equal the live ones.
 func checkRestoredSets(t *testing.T, r *rig, f *ir.Function, cfg AccelConfig, limits map[hw.FUClass]int) error {
 	st, err := r.acc.CaptureState()
 	if err != nil {
@@ -194,9 +191,9 @@ func checkRestoredSets(t *testing.T, r *rig, f *ir.Function, cfg AccelConfig, li
 		return fmt.Errorf("restored engine: %v", err)
 	}
 	a, b := r.acc, r2.acc
-	if !sameSet(a.ready, b.ready) || !sameSet(a.arrived, b.arrived) || a.readyLow != b.readyLow {
-		return fmt.Errorf("restored sets differ: ready %x/%x arrived %x/%x low %d/%d",
-			a.ready, b.ready, a.arrived, b.arrived, a.readyLow, b.readyLow)
+	if !sameSet(a.ready, b.ready) || !sameSet(a.arrived, b.arrived) {
+		return fmt.Errorf("restored sets differ: ready %x/%x arrived %x/%x",
+			a.ready, b.ready, a.arrived, b.arrived)
 	}
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the core half of checkpoint/restore: the accelerator
-// engine's dynamic state (in-flight dynOps, dependence edges, ready
-// watermarks, per-static-op stamps) and the communications interface's
+// engine's dynamic state (in-flight dynOps, dependence edges, occupancy
+// counters, per-static-op stamps) and the communications interface's
 // counters. Dynamic ops are captured by reservation-queue index —
 // dependence edges (waiters, lastDef producers, pendingMem) all point at
 // live resQ members, so indices fully encode the graph — and static
@@ -36,7 +36,7 @@ func (c *CommInterface) RestoreState(st snapshot.Comm) error {
 }
 
 // CaptureState snapshots the engine between events. Per-cycle transients
-// (fuIssued, hazard flags, profile counters) are dead at event boundaries
+// (fuIssued, hazard flags, issue counters) are dead at event boundaries
 // and excluded; everything else that outlives an event is recorded.
 func (a *Accelerator) CaptureState() (snapshot.Accel, error) {
 	st := snapshot.Accel{
@@ -48,7 +48,7 @@ func (a *Accelerator) CaptureState() (snapshot.Accel, error) {
 		Inflight:   a.inflight, Arrivals: a.arrivals, Resident: a.resident,
 		PendLoads: a.pendLoads, PendStores: a.pendStores, PendComp: a.pendComp,
 		InflLoads: a.inflLoads, InflStores: a.inflStores,
-		ReadyCount: a.readyCount, ReadyLow: a.readyLow,
+		ReadyCount: a.readyCount,
 		FuBusy:     append([]int(nil), a.fuBusy...),
 		OpStamp:    append([]uint64(nil), a.opStamp...),
 		CycleStamp: a.cycleStamp,
@@ -107,7 +107,7 @@ func (a *Accelerator) RestoreState(st snapshot.Accel) error {
 	a.inflight, a.arrivals, a.resident = st.Inflight, st.Arrivals, st.Resident
 	a.pendLoads, a.pendStores, a.pendComp = st.PendLoads, st.PendStores, st.PendComp
 	a.inflLoads, a.inflStores = st.InflLoads, st.InflStores
-	a.readyCount, a.readyLow = st.ReadyCount, st.ReadyLow
+	a.readyCount = st.ReadyCount
 	copy(a.fuBusy, st.FuBusy)
 	a.fuBusyN = 0
 	for _, n := range a.fuBusy {

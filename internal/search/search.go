@@ -47,8 +47,8 @@ import (
 // and break byte-identical frontiers across -jobs settings.
 const DefaultBatch = 32
 
-// Config parameterizes a search. Workers, Cache, Sessions, ColdStart,
-// Runner, and Drain have campaign.Config semantics — the search runs its
+// Config parameterizes a search. Workers, Cache, Sessions, Runner, and
+// Drain have campaign.Config semantics — the search runs its
 // simulations through that engine.
 type Config struct {
 	// Space declares the design space (ranged knobs welcome: the search
@@ -67,8 +67,6 @@ type Config struct {
 	// Sessions is the warm-start pool simulations draw from (nil = one
 	// scoped to this search).
 	Sessions *salam.SessionPool
-	// ColdStart disables warm-start session reuse.
-	ColdStart bool
 	// Runner overrides the simulation function (tests).
 	Runner campaign.Runner
 	// NoProxy disables the successive-halving proxy rung even when a
@@ -126,17 +124,16 @@ func (c Config) batch() int {
 // base assembles the campaign config the search submits waves through.
 func (c Config) base(pool *salam.SessionPool) campaign.Config {
 	return campaign.Config{
-		Workers:   c.Workers,
-		Cache:     c.Cache,
-		Runner:    c.Runner,
-		ColdStart: c.ColdStart,
-		Sessions:  pool,
-		Drain:     c.Drain,
+		Workers:  c.Workers,
+		Cache:    c.Cache,
+		Runner:   c.Runner,
+		Sessions: pool,
+		Drain:    c.Drain,
 	}
 }
 
 func (c Config) pool() *salam.SessionPool {
-	if c.Runner != nil || c.ColdStart {
+	if c.Runner != nil {
 		return nil
 	}
 	if c.Sessions != nil {

@@ -154,7 +154,8 @@ func TestSearchColdWarmAndResume(t *testing.T) {
 	space := smallSpace()
 	ctx := context.Background()
 
-	cold, err := Run(ctx, Config{Space: space, Workers: 4, ColdStart: true})
+	// The cold reference builds a fresh system per point.
+	cold, err := Run(ctx, Config{Space: space, Workers: 4, Runner: salam.RunKernelCtx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ type Accel struct {
 	Resident                        int
 	PendLoads, PendStores, PendComp int
 	InflLoads, InflStores           int
-	ReadyCount, ReadyLow            int
+	ReadyCount                      int
 	FuBusy                          []int
 	OpStamp                         []uint64
 	CycleStamp                      uint64
@@ -269,7 +269,8 @@ type Image struct {
 var magic = [4]byte{'G', 'S', 'N', 'P'}
 
 // Version is the image format version. Decode rejects other versions.
-const Version uint16 = 2
+// Version 3 dropped the engine's ready watermark from Accel.
+const Version uint16 = 3
 
 // Encode serializes the image. Encoding the same logical state always
 // produces the same bytes: the payload is a gob stream of a fixed struct

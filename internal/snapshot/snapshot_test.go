@@ -125,13 +125,14 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 // Decode must refuse other format versions with the version error, not a
 // decode failure — including version 1, whose images had separate
-// session and SoC kinds.
+// session and SoC kinds, and version 2, whose engine state carried a
+// ready watermark.
 func TestDecodeRejectsWrongVersion(t *testing.T) {
 	full, err := testImage().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint16{1, Version + 1} {
+	for _, v := range []uint16{1, 2, Version + 1} {
 		bad := append([]byte(nil), full...)
 		binary.LittleEndian.PutUint16(bad[4:6], v)
 		// Re-seal with a valid checksum so the version check, not the CRC,

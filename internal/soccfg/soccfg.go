@@ -197,35 +197,28 @@ func (c *Config) Emit() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// presetByName maps the schema spelling to a kernels.Preset.
-func presetByName(name string) (kernels.Preset, bool) {
-	switch name {
+// ResolvePreset maps the reference's preset spelling to a kernels.Preset.
+// An unknown spelling is a field-path error under path, the reference's
+// own path in the document.
+func (k *KernelRef) ResolvePreset(path string) (kernels.Preset, error) {
+	switch k.Preset {
 	case "", "default":
-		return kernels.Default, true
+		return kernels.Default, nil
 	case "small":
-		return kernels.Small, true
+		return kernels.Small, nil
 	case "micro":
-		return kernels.Micro, true
+		return kernels.Micro, nil
 	case "large":
-		return kernels.Large, true
+		return kernels.Large, nil
 	}
-	return 0, false
+	return 0, errPath(path+".preset", "unknown preset %q (small, default, micro, large)", k.Preset)
 }
 
-// ResolvePreset resolves the flat-form preset name.
-func (c *Config) ResolvePreset() (kernels.Preset, error) {
-	p, ok := presetByName(c.KernelRef.Preset)
-	if !ok {
-		return 0, fmt.Errorf("config: preset: unknown preset %q", c.KernelRef.Preset)
-	}
-	return p, nil
-}
-
-// errPath builds a field-path validation error.
 // SPMArenaBytes is the size of the scratchpad arena every SoC reserves
 // above DRAM; all SPMs of a topology are carved from it, 64-byte aligned.
 const SPMArenaBytes = 8 << 20
 
+// errPath builds a field-path validation error.
 func errPath(path, format string, args ...any) error {
 	return fmt.Errorf("config: %s: %s", path, fmt.Sprintf(format, args...))
 }
@@ -300,8 +293,8 @@ func (m *MemoryCfg) validate(path string) error {
 // is already rejected by Validate; inside an accelerator a reference is
 // mandatory.
 func (k *KernelRef) validate(path string) error {
-	if _, ok := presetByName(k.Preset); !ok {
-		return errPath(path+".preset", "unknown preset %q (small, default, micro, large)", k.Preset)
+	if _, err := k.ResolvePreset(path); err != nil {
+		return err
 	}
 	switch {
 	case k.Kernel != "" && k.IRFile != "":

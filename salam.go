@@ -101,9 +101,6 @@ type RunOpts struct {
 	// SkipCheck disables the golden comparison (for sweeps where only
 	// timing matters).
 	SkipCheck bool
-	// ProfileCycles enables per-cycle profiling, keeping up to this many
-	// samples (0 = off). Read the result via Result.Acc.Profile().
-	ProfileCycles int
 
 	// Sample, when enabled, runs interval-sampled simulation: the kernel
 	// is divided into Sample.N equal intervals of committed dynamic ops,

@@ -230,9 +230,6 @@ func (s *Session) begin(opts RunOpts) error {
 			s.cache.MSHRs = 1
 		}
 	}
-	if opts.ProfileCycles > 0 {
-		s.acc.EnableProfile(opts.ProfileCycles)
-	}
 	// Attach (or detach, when nil) the timeline recorder per run:
 	// Reconfigure rebuilds FU lanes, so attachment must follow it, and a
 	// pooled session must not leak one job's recorder into the next.

@@ -22,22 +22,11 @@ import (
 
 // kernelFor resolves a KernelRef: a built-in kernel at a preset, a
 // built-in family at an explicit size, or an external .ll file bound to a
-// built-in workload.
-func kernelFor(c *soccfg.Config, ref *soccfg.KernelRef) (*kernels.Kernel, error) {
-	preset, ok := kernels.Default, true
-	switch ref.Preset {
-	case "", "default":
-	case "small":
-		preset = kernels.Small
-	case "micro":
-		preset = kernels.Micro
-	case "large":
-		preset = kernels.Large
-	default:
-		ok = false
-	}
-	if !ok {
-		return nil, fmt.Errorf("config: unknown preset %q", ref.Preset)
+// built-in workload. at is the reference's field path for errors.
+func kernelFor(c *soccfg.Config, ref *soccfg.KernelRef, at string) (*kernels.Kernel, error) {
+	preset, err := ref.ResolvePreset(at)
+	if err != nil {
+		return nil, err
 	}
 	switch {
 	case ref.IRFile != "":
@@ -113,7 +102,7 @@ func KernelFromConfig(c *soccfg.Config) (*kernels.Kernel, RunOpts, error) {
 	if err := c.Validate(); err != nil {
 		return nil, RunOpts{}, err
 	}
-	k, err := kernelFor(c, &c.KernelRef)
+	k, err := kernelFor(c, &c.KernelRef, "(top level)")
 	if err != nil {
 		return nil, RunOpts{}, err
 	}
@@ -227,8 +216,8 @@ func BuildFromConfig(c *soccfg.Config) (*ConfiguredSoC, error) {
 			XbarWidth:      cl.XbarWidth,
 		})
 	}
-	for _, a := range s.Accels {
-		k, err := kernelFor(c, &a.KernelRef)
+	for i, a := range s.Accels {
+		k, err := kernelFor(c, &a.KernelRef, fmt.Sprintf("soc.accelerators[%d]", i))
 		if err != nil {
 			return nil, fmt.Errorf("accelerator %s: %w", a.Name, err)
 		}
